@@ -23,10 +23,6 @@ class CircleValue:
             object.__setattr__(self, "exponent", reduced)
 
     @classmethod
-    def from_fraction(cls, p: int, q: int) -> CircleValue:
-        return cls(Fraction(p, q))
-
-    @classmethod
     def one(cls) -> CircleValue:
         return cls(Fraction(0))
 
@@ -73,9 +69,3 @@ class CircleValue:
 
 ONE = CircleValue.one()
 MINUS_ONE = CircleValue.minus_one()
-
-
-def parse_circle(text: str) -> CircleValue:
-    """Parse the 'p/q' exponent form emitted by __str__."""
-    p, _, q = text.partition("/")
-    return CircleValue(Fraction(int(p), int(q or "1")))

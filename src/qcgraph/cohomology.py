@@ -57,9 +57,6 @@ class CocycleTable:
     def trivial(cls, graph: Graph, k: int, boundary: dict[str, int]) -> CocycleTable:
         return cls.build(graph, k, boundary, lambda b, w: ONE)
 
-    def weight_index(self, w: WeightVector) -> int:
-        return self.weights.index(w)
-
     # -- full-group evaluation -------------------------------------------
 
     def decompose(self, cycle: int) -> list[int]:

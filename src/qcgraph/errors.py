@@ -17,6 +17,10 @@ class ZeroCycle(QcgError):
     """Edge classification is undefined for the zero cycle."""
 
 
+class UnknownEdge(QcgError):
+    """An edge id does not name an edge of the graph."""
+
+
 class CutLeafEdge(QcgError):
     """Attempt to cut an edge incident to a univalent vertex."""
 

@@ -76,10 +76,6 @@ def f2_rank(vectors: Iterable[int]) -> int:
     return len(pivots)
 
 
-def f2_in_span(v: int, basis: Iterable[int]) -> bool:
-    return F2Span(basis).contains(v)
-
-
 def f2_nullspace(rows: list[int], nvars: int) -> list[int]:
     """Kernel basis of the linear map with the given constraint rows."""
     reduced = f2_reduce(rows)

@@ -12,7 +12,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BoundaryMismatch, CutLeafEdge, DegreeError, ZeroCycle
+from .errors import (
+    BoundaryMismatch,
+    CutLeafEdge,
+    DegreeError,
+    UnknownEdge,
+    ZeroCycle,
+)
 
 Edge = tuple[str, str, str]  # (edge-id, endpoint-a, endpoint-b)
 
@@ -24,15 +30,39 @@ OFF = "off"
 
 @dataclass(frozen=True)
 class Graph:
-    """A validated unitrivalent multigraph with labeled boundary vertices."""
+    """A validated unitrivalent multigraph with labeled boundary vertices.
+
+    The vertex list, the incidence map and the trivalent vertices are built
+    once in __post_init__; the cycle basis is computed on first use.
+    """
 
     edges: tuple[Edge, ...]
     boundary_vertices: tuple[str, ...]
-    _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _vertices: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _incidence: dict[str, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _trivalent: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _basis: Optional[tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
+        index: dict[str, int] = {}
+        incidence: dict[str, list[int]] = {}
+        for i, (eid, a, b) in enumerate(self.edges):
+            index[eid] = i
+            incidence.setdefault(a, []).append(i)
+            incidence.setdefault(b, []).append(i)  # a loop is listed twice
+        for v in self.boundary_vertices:
+            incidence.setdefault(v, [])
+        inc = {v: tuple(ids) for v, ids in incidence.items()}
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_vertices", tuple(inc))
+        object.__setattr__(self, "_incidence", inc)
         object.__setattr__(
-            self, "_index", {eid: i for i, (eid, _, _) in enumerate(self.edges)}
+            self, "_trivalent", tuple(v for v, ids in inc.items() if len(ids) == 3)
         )
 
     # -- basic accessors -------------------------------------------------
@@ -54,36 +84,18 @@ class Graph:
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, a, b in self.edges:
-            seen.setdefault(a)
-            seen.setdefault(b)
-        for v in self.boundary_vertices:
-            seen.setdefault(v)
-        return tuple(seen)
+        return self._vertices
 
     def degree(self, v: str) -> int:
-        d = 0
-        for _, a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+        return len(self._incidence.get(v, ()))
 
     def incident_edges(self, v: str) -> tuple[int, ...]:
         """Canonical indices of edges at v; a loop appears twice."""
-        out = []
-        for i, (_, a, b) in enumerate(self.edges):
-            if a == v:
-                out.append(i)
-            if b == v:
-                out.append(i)
-        return tuple(out)
+        return self._incidence.get(v, ())
 
     @property
     def trivalent_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.degree(v) == 3)
+        return self._trivalent
 
     # -- components and genus --------------------------------------------
 
@@ -123,6 +135,11 @@ class Graph:
     def cycle_basis(self) -> list[int]:
         """Fundamental cycles of the spanning forest grown in ascending
         canonical edge order, as bitmasks."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(self._fundamental_cycles()))
+        return list(self._basis)
+
+    def _fundamental_cycles(self) -> list[int]:
         parent: dict[str, Optional[tuple[str, int]]] = {}
 
         def root(v: str) -> str:
@@ -132,7 +149,6 @@ class Graph:
 
         for v in self.vertices:
             parent[v] = None
-        tree: set[int] = set()
         basis: list[int] = []
         for i, (_, a, b) in enumerate(self.edges):
             ra, rb = root(a), root(b)
@@ -140,7 +156,6 @@ class Graph:
                 # attach ra's tree below b's side
                 self._reroot(parent, a)
                 parent[a] = (b, i)
-                tree.add(i)
             else:
                 basis.append(self._fundamental_cycle(parent, i))
         return basis
@@ -206,32 +221,45 @@ class Graph:
     def classify_edge(self, cycle: int, eid: str) -> str:
         if cycle == 0:
             raise ZeroCycle("edge classification is undefined for the zero cycle")
-        i = self.edge_index(eid)
+        return self._classify(cycle, self.edge_index(eid), self._cycle_vertices(cycle))
+
+    def _cycle_vertices(self, cycle: int) -> set[str]:
+        """Vertices with an incident support edge."""
+        return {
+            v
+            for i, (_, a, b) in enumerate(self.edges)
+            if cycle >> i & 1
+            for v in (a, b)
+        }
+
+    def _classify(self, cycle: int, i: int, on: set[str]) -> str:
         if cycle >> i & 1:
             return ON_CYCLE
-        a, b = self.endpoints(eid)
-        on_a = self.vertex_on_cycle(a, cycle)
-        on_b = self.vertex_on_cycle(b, cycle)
-        if on_a and on_b:
+        _, a, b = self.edges[i]
+        if a in on and b in on:
             # a leg can never be internal; its univalent endpoint is off the
             # cycle anyway, so this branch only fires for trivalent endpoints
             return INTERNAL
-        if on_a or on_b:
+        if a in on or b in on:
             return EXTERNAL
         return OFF
 
-    def external_edges(self, cycle: int) -> list[str]:
+    def _edges_classified(self, cycle: int, kinds: tuple[str, ...]) -> list[str]:
+        if cycle == 0:
+            raise ZeroCycle("edge classification is undefined for the zero cycle")
+        on = self._cycle_vertices(cycle)
         return [
-            eid for eid in self.edge_ids if self.classify_edge(cycle, eid) == EXTERNAL
+            eid
+            for i, (eid, _, _) in enumerate(self.edges)
+            if self._classify(cycle, i, on) in kinds
         ]
+
+    def external_edges(self, cycle: int) -> list[str]:
+        return self._edges_classified(cycle, (EXTERNAL,))
 
     def internal_cut_edges(self, cycle: int) -> list[str]:
         """Edges classified external or internal for the cycle."""
-        return [
-            eid
-            for eid in self.edge_ids
-            if self.classify_edge(cycle, eid) in (EXTERNAL, INTERNAL)
-        ]
+        return self._edges_classified(cycle, (EXTERNAL, INTERNAL))
 
     def cuttable_edges(self) -> list[str]:
         """Edges with both endpoints trivalent (cuttable in a decomposition)."""
@@ -363,7 +391,7 @@ def cut_edges(g: Graph, cut: Iterable[str], allow_leaf: bool = False) -> CutResu
     ordered = tuple(eid for eid in g.edge_ids if eid in cut_set)
     unknown = cut_set - set(g.edge_ids)
     if unknown:
-        raise KeyError(f"unknown edges: {sorted(unknown)}")
+        raise UnknownEdge(f"unknown edges: {sorted(unknown)}")
     new_edges: list[Edge] = []
     new_boundary = list(g.boundary_vertices)
     pairing: dict[str, tuple[str, str]] = {}

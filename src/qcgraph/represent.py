@@ -38,9 +38,6 @@ class MonomialMatrix:
         )
         return MonomialMatrix(perm, scalars)
 
-    def trace_terms(self) -> list[CircleValue]:
-        return [self.scalars[i] for i in range(self.dim) if self.perm[i] == i]
-
 
 def rep_matrix(t: CocycleTable, cycle: int, checked: bool = True) -> MonomialMatrix:
     """The monomial matrix of the cycle in the representation of t."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import RangeError
-from .f2 import f2_in_span, f2_reduce
+from .f2 import f2_reduce
 from .graph import Graph
 
 WeightVector = tuple[int, ...]
@@ -57,9 +57,12 @@ def enumerate_admissible(
 ) -> list[WeightVector]:
     """All admissible weights in lexicographic order.
 
-    Backtracks over edges in canonical order, checking each trivalent vertex
-    as soon as all of its edges are assigned.  The raw product filter
-    (enumerate_admissible_bruteforce) is kept as the test oracle.
+    Backtracks over edges in canonical order with an explicit stack, so the
+    depth is not bounded by the interpreter's recursion limit.  An edge that
+    closes a trivalent vertex (the vertex's highest edge index) takes its
+    values straight from the triple rule; any further vertex it closes is
+    checked.  The raw product filter (enumerate_admissible_bruteforce) is
+    kept as the test oracle.
     """
     n = graph.n_edges
     if n == 0:
@@ -73,27 +76,71 @@ def enumerate_admissible(
         if i in fixed and fixed[i] != boundary[v]:
             return []  # single edge with two univalent ends, conflicting labels
         fixed[i] = boundary[v]
-    triples = _vertex_triples(graph)
     # vertex checks fire at the highest edge index they involve
     checks_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for t in triples:
+    for t in _vertex_triples(graph):
         checks_at[max(t)].append(t)
+    steps = [_edge_step(i, fixed.get(i), checks_at[i]) for i in range(n)]
+    free = range(k + 1)
+    twice_k = 2 * k
+
+    def values(i: int):
+        kind, p, q, _ = steps[i]
+        if kind == _CLOSE:
+            a, b = w[p], w[q]
+            return range(abs(a - b), min(a + b, twice_k - a - b) + 1, 2)
+        if kind == _CLOSE_LOOP:
+            c = w[p]
+            return () if c % 2 else range(c // 2, k - c // 2 + 1)
+        if kind == _FIXED:
+            return (p,)
+        return free
 
     out: list[WeightVector] = []
     w = [0] * n
-
-    def rec(i: int) -> None:
-        if i == n:
-            out.append(tuple(w))
-            return
-        values = (fixed[i],) if i in fixed else range(k + 1)
-        for x in values:
+    last = n - 1
+    stack = [iter(values(0))]
+    while stack:
+        i = len(stack) - 1
+        checks = steps[i][3]
+        for x in stack[i]:
             w[i] = x
-            if all(_triple_ok(w[a], w[b], w[c], k) for a, b, c in checks_at[i]):
-                rec(i + 1)
-
-    rec(0)
+            if checks and not all(
+                _triple_ok(w[a], w[b], w[c], k) for a, b, c in checks
+            ):
+                continue
+            if i == last:
+                out.append(tuple(w))
+            else:
+                stack.append(iter(values(i + 1)))
+                break
+        else:
+            stack.pop()
     return out
+
+
+# how an edge's candidate values are produced during enumeration
+_FREE, _FIXED, _CLOSE, _CLOSE_LOOP = range(4)
+
+
+def _edge_step(i: int, fixed, checks: list[tuple[int, int, int]]):
+    """(kind, p, q, vertex checks left to run) for edge i.
+
+    _FIXED takes the boundary value p.  _CLOSE derives the values of edge i
+    from the lower edges p, q of a vertex it closes, by the triple rule
+    |a-b| <= c <= min(a+b, 2k-a-b) with c = a+b mod 2.  _CLOSE_LOOP covers
+    a loop i whose third edge p is lower: w[p] must be even and
+    w[p]/2 <= x <= k - w[p]/2.
+    """
+    if fixed is not None:
+        return _FIXED, fixed, None, tuple(checks)
+    if not checks:
+        return _FREE, None, None, ()
+    first, rest = checks[0], tuple(checks[1:])
+    others = [e for e in first if e != i]
+    if len(others) == 1:
+        return _CLOSE_LOOP, others[0], None, rest
+    return _CLOSE, others[0], others[1], rest
 
 
 def enumerate_admissible_bruteforce(
@@ -110,11 +157,6 @@ def enumerate_admissible_bruteforce(
 def act(cycle: int, w: WeightVector, k: int) -> WeightVector:
     """Flip doubled[l] -> k - doubled[l] on the support of the cycle."""
     return tuple(k - x if cycle >> i & 1 else x for i, x in enumerate(w))
-
-
-def stabilizer_of(graph: Graph, w: WeightVector, k: int) -> list[int]:
-    """All cycles fixing w, i.e. with doubled weight k/2 on their support."""
-    return [lam for lam in graph.all_cycles() if act(lam, w, k) == w]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from qcgraph.graph import Graph, validate_graph
 
 
@@ -89,6 +91,22 @@ def genus3_chain() -> Graph:
         ],
         ["w1", "w2"],
     )
+
+
+def random_unitrivalent(genus: int, legs: int, rng: random.Random) -> Graph:
+    """A random unitrivalent multigraph with 2g-2+n trivalent vertices and
+    n legs, from a uniform pairing of half-edges: loops, parallel edges and
+    several components all occur.  Edge ids and edge order are random."""
+    trivalent = 2 * genus - 2 + legs
+    halves = [f"v{i}" for i in range(trivalent) for _ in range(3)]
+    halves += [f"w{i}" for i in range(legs)]
+    rng.shuffle(halves)
+    ids = rng.sample(range(10 * len(halves) + 10), len(halves) // 2)
+    edges = [
+        (f"e{ids[j]}", halves[2 * j], halves[2 * j + 1])
+        for j in range(len(halves) // 2)
+    ]
+    return validate_graph(edges, [f"w{i}" for i in range(legs)])
 
 
 def zero_boundary(g: Graph) -> dict[str, int]:

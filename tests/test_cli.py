@@ -138,3 +138,31 @@ class TestExitCodes:
         assert code == 0
         assert "pair c c:w1 c:w2" in out
         assert out.count("component") == 2
+
+    def test_cut_unknown_edge_is_input_error(self, graph_file, capsys):
+        path = graph_file(theta())
+        code, out, err = run_capture(
+            ["cut", "--graph", path, "--level", "2", "--edges", "zz"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err == "error: unknown edges: ['zz']\n"
+
+    def test_enumerate_long_circuit(self, tmp_path, capsys):
+        # 700 trivalent vertices on one circuit, each with a leg labelled 0:
+        # 1400 edges, deeper than the interpreter's recursion limit
+        n = 700
+        lines = []
+        for i in range(n):
+            lines.append(f"edge l{i} v{i} w{i}")
+            lines.append(f"edge c{i} v{i} v{(i + 1) % n}")
+        lines += [f"boundary w{i} 0" for i in range(n)]
+        path = tmp_path / "circuit.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_capture(
+            ["enumerate", "--graph", str(path), "--level", "2"], capsys
+        )
+        assert code == 0 and err == ""
+        rows = out.splitlines()
+        assert len(rows) == 3
+        assert rows == sorted(rows)  # circuit edges 0, 1, 2 in turn
+        assert [set(r.split("\t")) for r in rows] == [{"0"}, {"0", "1"}, {"0", "2"}]

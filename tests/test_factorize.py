@@ -1,6 +1,8 @@
 """Weight decomposition along cuts, cocycle restriction, functoriality and
 the characterization of the external class."""
 
+import random
+
 import pytest
 
 from qcgraph.circle import MINUS_ONE, ONE
@@ -9,23 +11,38 @@ from qcgraph.cohomology import (
     cobounding_chain,
     coboundary_of,
     cohomology_invariant,
+    enumerate_sign_cocycles,
     is_coboundary,
     is_twisted_cocycle,
 )
-from qcgraph.errors import CapExceeded, WeightMismatch
+from qcgraph.errors import CapExceeded, NotACocycle, WeightMismatch
 from qcgraph.external import construct_external_cocycle, standard_gamma_n_cocycle
 from qcgraph.factorize import (
+    Decomposition,
+    _merge,
     all_decompositions,
     decompose_weights,
     equivalent_under_factorization,
     gamma_piece_witness,
+    jpp_values,
     make_decomposition,
     restrict_cocycle,
+    restriction_plan,
     verify_characterization,
     verify_functoriality,
 )
-from qcgraph.weights import enumerate_admissible
-from suitegraphs import dumbbell, gamma1, theta, zero_boundary
+from qcgraph.graph import isolate_cycle
+from qcgraph.represent import character, reps_isomorphic
+from qcgraph.weights import act, enumerate_admissible
+from suitegraphs import (
+    dumbbell,
+    gamma1,
+    gamma2,
+    gamma3,
+    genus3_handle,
+    theta,
+    zero_boundary,
+)
 
 
 class TestDecomposeWeights:
@@ -158,3 +175,168 @@ class TestCharacterization:
     def test_full_characterization(self, make, k):
         g = make()
         assert verify_characterization(g, k, zero_boundary(g))
+
+
+# -- the restriction plan against the per-j'' oracle -------------------------
+#
+# The oracle is the direct path: loop over every j'', enumerate both parts,
+# build each restricted table with restrict_cocycle and compare its
+# representation or invariant.
+
+
+def oracle_contexts(t, dec):
+    for jpp in jpp_values(t.k, dec):
+        b2 = dec.part_boundary(dec.part2, t.boundary, jpp)
+        for fixed in enumerate_admissible(dec.part2, t.k, b2):
+            yield jpp, fixed
+
+
+def oracle_equivalent(t1, t2, cap=200_000):
+    for dec in all_decompositions(t1.graph, cap):
+        if dec.part1.n_edges == 0:
+            continue
+        for jpp, fixed in oracle_contexts(t1, dec):
+            r1 = restrict_cocycle(t1, dec, jpp, fixed)
+            r2 = restrict_cocycle(t2, dec, jpp, fixed)
+            if not reps_isomorphic(r1, r2):
+                return False
+    return True
+
+
+def oracle_functoriality(graph, k, boundary, cap=200_000):
+    ext = construct_external_cocycle(graph, k, boundary)
+    for dec in all_decompositions(graph, cap):
+        if dec.part1.n_edges == 0:
+            continue
+        for jpp, fixed in oracle_contexts(ext, dec):
+            b1 = dec.part_boundary(dec.part1, boundary, jpp)
+            target = cohomology_invariant(construct_external_cocycle(dec.part1, k, b1))
+            if cohomology_invariant(restrict_cocycle(ext, dec, jpp, fixed)) != target:
+                return False
+    return True
+
+
+def oracle_witness(t):
+    graph = t.graph
+    for lam in graph.all_cycles():
+        if lam == 0:
+            continue
+        with_cycle, _, res = isolate_cycle(graph, lam)
+        all_subs = res.component_subgraphs()
+        for piece in with_cycle:
+            others = [s for s in all_subs if set(s.edge_ids) != set(piece.edge_ids)]
+            dec = Decomposition(graph, res, piece, _merge(res.graph, others))
+            for jpp, fixed in oracle_contexts(t, dec):
+                b1 = dec.part_boundary(piece, t.boundary, jpp)
+                restricted = restrict_cocycle(t, dec, jpp, fixed)
+                standard = standard_gamma_n_cocycle(piece, t.k, b1)
+                if cohomology_invariant(restricted) != cohomology_invariant(standard):
+                    return lam, jpp, fixed
+    return None
+
+
+def leg_boundary(g):
+    return {v: 2 for v in g.boundary_vertices}
+
+
+SMALL_INSTANCES = [
+    (make, k)
+    for make in (theta, dumbbell, gamma1, gamma2, gamma3)
+    for k in (2, 3, 4)
+]
+PLAN_INSTANCES = SMALL_INSTANCES + [(genus3_handle, 2)]
+
+
+def sign_pairs(g, k, b, seed):
+    """A same-class pair and, when the instance has two classes, a
+    cross-class pair of sign cocycles."""
+    rng = random.Random(seed)
+    family = list(enumerate_sign_cocycles(g, k, b, cap=32))
+    first = rng.choice(family)
+    signs = {w: rng.choice((ONE, MINUS_ONE)) for w in first.weights}
+    pairs = [(first, first * coboundary_of(g, k, b, signs))]
+    inv = cohomology_invariant(first)
+    others = [t for t in family if cohomology_invariant(t) != inv]
+    if others:
+        pairs.append((first, rng.choice(others)))
+    return pairs
+
+
+class TestPlanAgainstOracle:
+    @pytest.mark.parametrize("make,k", PLAN_INSTANCES)
+    def test_equivalence(self, make, k):
+        g = make()
+        b = leg_boundary(g)
+        for t1, t2 in sign_pairs(g, k, b, seed=k):
+            assert equivalent_under_factorization(t1, t2, cap=200_000) == (
+                oracle_equivalent(t1, t2)
+            )
+
+    @pytest.mark.parametrize("make,k", SMALL_INSTANCES)
+    def test_functoriality(self, make, k):
+        g = make()
+        b = leg_boundary(g)
+        expected = oracle_functoriality(g, k, b)
+        assert verify_functoriality(g, k, b, cap=200_000) == expected
+
+    @pytest.mark.parametrize("make,k", SMALL_INSTANCES)
+    def test_first_witness(self, make, k):
+        g = make()
+        b = leg_boundary(g)
+        tables = [construct_external_cocycle(g, k, b)]
+        tables += list(enumerate_sign_cocycles(g, k, b, cap=8))
+        for t in tables:
+            assert gamma_piece_witness(t, cap=200_000) == oracle_witness(t)
+
+    @pytest.mark.parametrize("make,k", [(theta, 4), (dumbbell, 4), (gamma2, 2)])
+    def test_plan_contexts_and_characters(self, make, k):
+        # every context with a non-empty part-1 set, with its glued weights,
+        # and the character read from the parent equals the restricted one
+        g = make()
+        b = leg_boundary(g)
+        t = next(iter(enumerate_sign_cocycles(g, k, b, cap=8)))
+        for dec in all_decompositions(g, cap=200_000):
+            if dec.part1.n_edges == 0:
+                continue
+            plan = restriction_plan(dec, t.weights)
+            expected = {}
+            for jpp, (ws1, ws2) in decompose_weights(g, k, b, dec).items():
+                for fixed in ws2:
+                    if ws1:
+                        expected[(jpp, fixed)] = sorted(
+                            dec.glue_weights(w1, fixed, jpp) for w1 in ws1
+                        )
+            assert list(plan.contexts) == sorted(expected)
+            cycles = plan.part1_cycles()
+            assert {lam for _, lam in cycles} == {
+                lam for lam in g.all_cycles() if not lam & ~plan.inside
+            }
+            for key, ws in plan.contexts.items():
+                assert sorted(ws) == expected[key]
+                r = restrict_cocycle(t, dec, *key)
+                for mu, lam in cycles:
+                    from_parent = sum(
+                        t.value(w, lam).as_sign() for w in ws if act(lam, w, k) == w
+                    )
+                    assert from_parent == character(r, mu)
+
+    def test_witness_cap_counts_visited_contexts(self):
+        g = dumbbell()
+        t = CocycleTable.trivial(g, 4, {})
+        witness = gamma_piece_witness(t)
+        assert witness == oracle_witness(t)
+        with pytest.raises(CapExceeded):
+            gamma_piece_witness(construct_external_cocycle(g, 4, {}), cap=1)
+
+    def test_non_cocycle_rejected(self):
+        g = theta()
+        t = CocycleTable.trivial(g, 2, {})
+        bad = dict(t.table)
+        key = next(iter(bad))
+        bad[key] = MINUS_ONE
+        broken = CocycleTable(g, 2, {}, t.basis, t.weights, bad)
+        assert not is_twisted_cocycle(broken)
+        with pytest.raises(NotACocycle):
+            equivalent_under_factorization(t, broken)
+        with pytest.raises(NotACocycle):
+            gamma_piece_witness(broken)

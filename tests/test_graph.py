@@ -1,8 +1,19 @@
 """Graph model, cycle space, edge classification, cutting and gluing."""
 
-import pytest
+import random
 
-from qcgraph.errors import BoundaryMismatch, CutLeafEdge, DegreeError, ZeroCycle
+import networkx as nx
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qcgraph.errors import (
+    BoundaryMismatch,
+    CutLeafEdge,
+    DegreeError,
+    UnknownEdge,
+    ZeroCycle,
+)
 from qcgraph.graph import (
     EXTERNAL,
     INTERNAL,
@@ -17,7 +28,7 @@ from qcgraph.graph import (
     recognize_gamma_n,
     validate_graph,
 )
-from suitegraphs import dumbbell, gamma1, theta, tree3
+from suitegraphs import dumbbell, gamma1, random_unitrivalent, theta, tree3
 
 
 def all_even_subgraphs(g):
@@ -151,6 +162,10 @@ class TestCut:
         assert len(subs) == 1
         assert len(subs[0].boundary_vertices) == 2
 
+    def test_unknown_edge_rejected(self):
+        with pytest.raises(UnknownEdge, match="zz"):
+            cut_edges(theta(), ["e1", "zz"])
+
     def test_cut_leaf_edge_rejected(self):
         with pytest.raises(CutLeafEdge):
             cut_edges(gamma1(), ["f1"])
@@ -222,3 +237,49 @@ class TestTextFormat:
     def test_bad_line(self):
         with pytest.raises(ValueError):
             parse_graph("vertex v\n")
+
+
+class TestStructureAgainstNetworkx:
+    """The precomputed structure of a Graph against networkx as an
+    independent oracle, on random unitrivalent multigraphs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        genus=st.integers(0, 4),
+        legs=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_components_genus_degrees_incidence(self, genus, legs, seed):
+        assume(2 * genus - 2 + legs >= 0)
+        g = random_unitrivalent(genus, legs, random.Random(seed))
+        G = nx.MultiGraph()
+        G.add_nodes_from(g.boundary_vertices)
+        for i, (eid, a, b) in enumerate(g.edges):
+            G.add_edge(a, b, key=eid, index=i)
+
+        assert set(g.vertices) == set(G.nodes)
+        assert len(g.vertices) == G.number_of_nodes()
+        assert sorted(map(sorted, g.components())) == sorted(
+            map(sorted, nx.connected_components(G))
+        )
+        rank = (
+            G.number_of_edges()
+            - G.number_of_nodes()
+            + nx.number_connected_components(G)
+        )
+        assert g.genus == rank
+        basis = g.cycle_basis()
+        assert len(basis) == rank
+        for mask in basis:
+            support = nx.MultiGraph(
+                (a, b) for i, (_, a, b) in enumerate(g.edges) if mask >> i & 1
+            )
+            assert all(d % 2 == 0 for _, d in support.degree())
+        assert g.cycle_basis() == basis and g.cycle_basis() is not g.cycle_basis()
+        for v in G.nodes:
+            assert g.degree(v) == G.degree(v)
+            incident = []
+            for a, b, data in G.edges(v, data=True):
+                incident += [data["index"]] * (2 if a == b else 1)
+            assert g.incident_edges(v) == tuple(sorted(incident))
+        assert set(g.trivalent_vertices) == {v for v, d in G.degree() if d == 3}

@@ -1,6 +1,10 @@
 """Admissibility, enumeration, the flip action, orbits and stabilizers."""
 
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcgraph.errors import RangeError
 from qcgraph.weights import (
@@ -13,6 +17,7 @@ from qcgraph.weights import (
 from suitegraphs import (
     dumbbell,
     gamma1,
+    random_unitrivalent,
     suite_instances,
     theta,
     tree3,
@@ -81,6 +86,25 @@ class TestEnumerate:
     def test_matches_bruteforce_oracle(self, name, g, k, b):
         if (k + 1) ** g.n_edges > 200_000:
             pytest.skip("oracle too large")
+        assert enumerate_admissible(g, k, b) == enumerate_admissible_bruteforce(
+            g, k, b
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        genus=st.integers(0, 3),
+        legs=st.integers(0, 3),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_edge_orders_match_bruteforce(self, genus, legs, k, seed):
+        # random edge orders put loops, boundary legs and parallel edges at
+        # every position of the backtracking
+        assume(2 * genus - 2 + legs >= 0)
+        rng = random.Random(seed)
+        g = random_unitrivalent(genus, legs, rng)
+        assume((k + 1) ** g.n_edges <= 20_000)
+        b = {v: rng.randrange(k + 1) for v in g.boundary_vertices}
         assert enumerate_admissible(g, k, b) == enumerate_admissible_bruteforce(
             g, k, b
         )
