@@ -11,7 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import cohomology, external, factorize, represent, weights
-from .errors import QcgError
+from .errors import NotACocycle, QcgError
 from .graph import parse_graph
 
 SUBCOMMANDS = (
@@ -111,8 +111,10 @@ def _dispatch(args, graph, boundary, k, out) -> int:
         return 0
     if cmd == "rep":
         t = external.construct_external_cocycle(graph, k, boundary)
+        if not cohomology.is_twisted_cocycle(t):
+            raise NotACocycle("table fails the twisted cocycle identity")
         for b in t.basis:
-            m = represent.rep_matrix(t, b)
+            m = represent.rep_matrix(t, b, checked=False)
             out.append(f"cycle {_cycle_label(graph, b)}")
             for i in range(m.dim):
                 out.append(f"{i} -> {m.perm[i]}, {m.scalars[i]}")

@@ -10,7 +10,7 @@ through the twisted product rule
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .circle import MINUS_ONE, ONE, CircleValue
 from .errors import (
@@ -22,7 +22,15 @@ from .errors import (
 )
 from .f2 import F2Span, f2_nullspace, f2_rank
 from .graph import Graph
-from .weights import Orbit, WeightVector, act, enumerate_admissible, orbits
+from .weights import (  # noqa: F401  act stays importable from here
+    FlipAction,
+    Orbit,
+    WeightVector,
+    act,
+    enumerate_admissible,
+    flip_action,
+    orbits,
+)
 
 ZeroCochain = dict  # WeightVector -> CircleValue, total on the admissible set
 
@@ -39,6 +47,7 @@ class CocycleTable:
     weights: tuple[WeightVector, ...]
     table: dict[tuple[int, WeightVector], CircleValue]
     _span: Optional[F2Span] = field(default=None, repr=False, compare=False)
+    _flips: Optional[FlipAction] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -57,6 +66,14 @@ class CocycleTable:
     def trivial(cls, graph: Graph, k: int, boundary: dict[str, int]) -> CocycleTable:
         return cls.build(graph, k, boundary, lambda b, w: ONE)
 
+    @property
+    def flips(self) -> FlipAction:
+        """The basis flip permutations on the weight indices.  Built once
+        from the basis and weights alone, so edits to table stay visible."""
+        if self._flips is None:
+            self._flips = flip_action(self.basis, self.weights, self.k)
+        return self._flips
+
     # -- full-group evaluation -------------------------------------------
 
     def decompose(self, cycle: int) -> list[int]:
@@ -68,31 +85,46 @@ class CocycleTable:
             raise ValueError(f"cycle {cycle:b} is not in the homology span")
         return [i for i in range(len(self.basis)) if combo >> i & 1]
 
+    def walk(self, wi: int, steps: list[int]) -> tuple[CircleValue, int]:
+        """The value at weights[wi] of the cycle with basis decomposition
+        steps, and the index its flip sends wi to."""
+        perms, table, basis, weights = (
+            self.flips.perms, self.table, self.basis, self.weights
+        )
+        val = ONE
+        for i in steps:
+            val = val * table[(basis[i], weights[wi])]
+            wi = perms[i][wi]
+        return val, wi
+
+    def flip_image(self, cycle: int) -> list[int]:
+        """image[wi]: the index the cycle's flip sends weight index wi to."""
+        image = list(range(len(self.weights)))
+        perms = self.flips.perms
+        for i in self.decompose(cycle):
+            p = perms[i]
+            image = [p[wi] for wi in image]
+        return image
+
     def value(self, w: WeightVector, cycle: int) -> CircleValue:
         """delta_w(cycle) via the twisted product rule over the basis."""
-        val, cur = ONE, w
-        for i in self.decompose(cycle):
-            b = self.basis[i]
-            val = val * self.table[(b, cur)]
-            cur = act(b, cur, self.k)
-        return val
+        return self.walk(self.flips.index[w], self.decompose(cycle))[0]
 
     # -- algebra ----------------------------------------------------------
 
-    def _pointwise(self, other: CocycleTable, op) -> CocycleTable:
-        table = {key: op(v, other.table[key]) for key, v in self.table.items()}
+    def _derive(self, table: dict) -> CocycleTable:
+        """A table on the same domain, sharing its span and flips."""
         return CocycleTable(
-            self.graph, self.k, self.boundary, self.basis, self.weights, table
+            self.graph, self.k, self.boundary, self.basis, self.weights, table,
+            self._span, self.flips,
         )
 
     def __mul__(self, other: CocycleTable) -> CocycleTable:
-        return self._pointwise(other, lambda a, b: a * b)
+        ot = other.table
+        return self._derive({key: v * ot[key] for key, v in self.table.items()})
 
     def inverse(self) -> CocycleTable:
-        table = {key: v.inverse() for key, v in self.table.items()}
-        return CocycleTable(
-            self.graph, self.k, self.boundary, self.basis, self.weights, table
-        )
+        return self._derive({key: v.inverse() for key, v in self.table.items()})
 
     def serialize(self) -> str:
         lines = []
@@ -105,19 +137,23 @@ class CocycleTable:
 
 def is_twisted_cocycle(t: CocycleTable) -> bool:
     """Check the basis-pair consistency relations and 2-torsion."""
+    cols = []  # the entries of each basis cycle, in weight order
     for b in t.basis:
-        for w in t.weights:
-            if (b, w) not in t.table:
-                raise IncompleteTable(f"missing entry for cycle {b:b}")
-    k = t.k
-    for w in t.weights:
-        for i, b1 in enumerate(t.basis):
-            if t.table[(b1, w)] * t.table[(b1, act(b1, w, k))] != ONE:
+        try:
+            cols.append([t.table[(b, w)] for w in t.weights])
+        except KeyError:
+            raise IncompleteTable(f"missing entry for cycle {b:b}") from None
+    perms = t.flips.perms
+    g = len(cols)
+    for wi in range(len(t.weights)):
+        for i in range(g):
+            col_i, p_wi = cols[i], perms[i][wi]
+            a = col_i[wi]
+            if a * col_i[p_wi] != ONE:
                 return False
-            for b2 in t.basis[i + 1 :]:
-                lhs = t.table[(b2, act(b1, w, k))] * t.table[(b1, w)]
-                rhs = t.table[(b1, act(b2, w, k))] * t.table[(b2, w)]
-                if lhs != rhs:
+            for j in range(i + 1, g):
+                col_j = cols[j]
+                if col_j[p_wi] * a != col_i[perms[j][wi]] * col_j[wi]:
                     return False
     return True
 
@@ -126,9 +162,17 @@ def coboundary_of(
     graph: Graph, k: int, boundary: dict[str, int], c: ZeroCochain
 ) -> CocycleTable:
     """(dc)_w(b) = c_{b.w} * c_w^{-1}."""
-    return CocycleTable.build(
-        graph, k, boundary, lambda b, w: c[act(b, w, k)] * c[w].inverse()
-    )
+    basis = tuple(graph.cycle_basis())
+    weights = tuple(enumerate_admissible(graph, k, boundary))
+    flips = flip_action(basis, weights, k)
+    vals = [c[w] for w in weights]
+    inverses = [v.inverse() for v in vals]
+    table = {
+        (b, w): vals[p[wi]] * inverses[wi]
+        for b, p in zip(basis, flips.perms)
+        for wi, w in enumerate(weights)
+    }
+    return CocycleTable(graph, k, boundary, basis, weights, table, _flips=flips)
 
 
 def fixed_pairs(t: CocycleTable) -> Iterator[tuple[int, WeightVector]]:
@@ -136,8 +180,8 @@ def fixed_pairs(t: CocycleTable) -> Iterator[tuple[int, WeightVector]]:
     for lam in t.graph.all_cycles():
         if lam == 0:
             continue
-        for w in t.weights:
-            if act(lam, w, t.k) == w:
+        for wi, (w, image) in enumerate(zip(t.weights, t.flip_image(lam))):
+            if image == wi:
                 yield lam, w
 
 
@@ -154,13 +198,18 @@ def cobounding_chain(t: CocycleTable) -> ZeroCochain:
     if not is_coboundary(t):
         raise NotACoboundary("cocycle has a nontrivial fixed-pair value")
     c: ZeroCochain = {}
-    cycles = t.graph.all_cycles()
+    steps = [t.decompose(lam) for lam in t.graph.all_cycles()]
+    index, perms = t.flips
     for orb in orbits(t.graph, t.k, t.boundary):
-        rep = orb.representative
-        for lam in cycles:
-            target = act(lam, rep, t.k)
+        ri = index[orb.representative]
+        for s in steps:
+            # the target first: only the first cycle reaching it sets c
+            wi = ri
+            for i in s:
+                wi = perms[i][wi]
+            target = t.weights[wi]
             if target not in c:
-                c[target] = t.value(rep, lam)
+                c[target] = t.walk(ri, s)[0]
     return c
 
 
@@ -263,31 +312,29 @@ def cohomology_group_order(graph: Graph, k: int, boundary: dict[str, int]) -> in
 # arithmetic, with no reference to orbits or stabilizers.
 
 
-def _sign_cocycle_system(graph: Graph, k: int, boundary: dict[str, int]):
-    basis = graph.cycle_basis()
-    weights = list(enumerate_admissible(graph, k, boundary))
-    widx = {w: i for i, w in enumerate(weights)}
-    g, nw = len(basis), len(weights)
-    nvars = g * nw
-
-    def var(bi: int, w: WeightVector) -> int:
-        return bi * nw + widx[w]
-
-    equations: list[int] = []
-    for w in weights:
-        for i, b1 in enumerate(basis):
-            eq = (1 << var(i, w)) ^ (1 << var(i, act(b1, w, k)))
-            equations.append(eq)
+def _sign_cocycle_equations(
+    perms: tuple[tuple[int, ...], ...],
+    block: Iterable[int],
+    var: Callable[[int, int], int],
+) -> list[int]:
+    """F2 rows of the cocycle identities of a sign table on the weight
+    indices in block, which must be closed under the flips: 2-torsion of
+    each basis cycle, then each basis pair, weight by weight.  var(i, wi)
+    numbers the entry of basis cycle i at weight index wi."""
+    g = len(perms)
+    equations = []
+    for wi in block:
+        for i in range(g):
+            p_wi = perms[i][wi]
+            equations.append((1 << var(i, wi)) ^ (1 << var(i, p_wi)))
             for j in range(i + 1, g):
-                b2 = basis[j]
-                eq = (
-                    (1 << var(i, w))
-                    ^ (1 << var(j, act(b1, w, k)))
-                    ^ (1 << var(j, w))
-                    ^ (1 << var(i, act(b2, w, k)))
+                equations.append(
+                    (1 << var(i, wi))
+                    ^ (1 << var(j, p_wi))
+                    ^ (1 << var(j, wi))
+                    ^ (1 << var(i, perms[j][wi]))
                 )
-                equations.append(eq)
-    return basis, weights, nvars, var, equations
+    return equations
 
 
 def brute_force_class_count(
@@ -300,8 +347,7 @@ def brute_force_class_count(
         raise CapExceeded(f"instance beyond cap {cap}")
     basis = graph.cycle_basis()
     g = len(basis)
-    widx = {w: i for i, w in enumerate(weights)}
-    perms = [[widx[act(b, w, k)] for w in weights] for b in basis]
+    perms = flip_action(basis, weights, k).perms
     # constraints only couple weight indices reachable through the flip
     # permutations, so eliminate per connected block
     parent = list(range(len(weights)))
@@ -327,18 +373,7 @@ def brute_force_class_count(
         def var(bi: int, wi: int) -> int:
             return bi * nb + local[wi]
 
-        equations = []
-        for wi in block:
-            for i in range(g):
-                equations.append((1 << var(i, wi)) ^ (1 << var(i, perms[i][wi])))
-                for j in range(i + 1, g):
-                    equations.append(
-                        (1 << var(i, wi))
-                        ^ (1 << var(j, perms[i][wi]))
-                        ^ (1 << var(j, wi))
-                        ^ (1 << var(i, perms[j][wi]))
-                    )
-        dim_z += g * nb - f2_rank(equations)
+        dim_z += g * nb - f2_rank(_sign_cocycle_equations(perms, block, var))
         cob_rows = []
         for wi in block:
             row = 0
@@ -355,20 +390,28 @@ def enumerate_sign_cocycles(
     graph: Graph, k: int, boundary: dict[str, int], cap: int = 1 << 16
 ) -> Iterator[CocycleTable]:
     """Yield sign-valued cocycle tables from the F2 solution space; all of
-    them when at most cap, else a deterministic sample of size cap."""
-    basis, weights, nvars, var, equations = _sign_cocycle_system(graph, k, boundary)
+    them when at most cap, else a deterministic sample of size cap.  The
+    system is the oracle's with all weights in one block; the tables share
+    one span and one set of flip permutations."""
+    basis = tuple(graph.cycle_basis())
+    weights = tuple(enumerate_admissible(graph, k, boundary))
+    flips = flip_action(basis, weights, k)
+    nw = len(weights)
+    nvars = len(basis) * nw
+    equations = _sign_cocycle_equations(
+        flips.perms, range(nw), lambda bi, wi: bi * nw + wi
+    )
     null = f2_nullspace(equations, nvars)
     dim = len(null)
+    span = F2Span(basis)
 
     def to_table(assign: int) -> CocycleTable:
-        table = {
-            (b, w): MINUS_ONE if assign >> var(bi, w) & 1 else ONE
-            for bi, b in enumerate(basis)
-            for w in weights
-        }
-        return CocycleTable(
-            graph, k, boundary, tuple(basis), tuple(weights), table
-        )
+        table = {}
+        for bi, b in enumerate(basis):
+            bits = assign >> bi * nw
+            for wi, w in enumerate(weights):
+                table[(b, w)] = MINUS_ONE if bits >> wi & 1 else ONE
+        return CocycleTable(graph, k, boundary, basis, weights, table, span, flips)
 
     if 1 << dim <= cap:
         coeffs: Iterator[int] = iter(range(1 << dim))

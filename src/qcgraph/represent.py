@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .circle import ONE, CircleValue
 from .cohomology import CocycleTable, ZeroCochain, is_twisted_cocycle
 from .errors import NotACocycle
-from .weights import WeightVector, act
 
 
 @dataclass(frozen=True)
@@ -43,19 +42,21 @@ def rep_matrix(t: CocycleTable, cycle: int, checked: bool = True) -> MonomialMat
     """The monomial matrix of the cycle in the representation of t."""
     if checked and not is_twisted_cocycle(t):
         raise NotACocycle("table fails the twisted cocycle identity")
-    index = {w: i for i, w in enumerate(t.weights)}
-    perm = tuple(index[act(cycle, w, t.k)] for w in t.weights)
-    scalars = tuple(t.value(w, cycle) for w in t.weights)
-    return MonomialMatrix(perm, scalars)
+    steps = t.decompose(cycle)
+    walks = [t.walk(wi, steps) for wi in range(len(t.weights))]
+    return MonomialMatrix(
+        tuple(wi for _, wi in walks), tuple(val for val, _ in walks)
+    )
 
 
 def character(t: CocycleTable, cycle: int) -> int:
     """Trace of the cycle's matrix: a sum of fixed-pair signs, hence an
     exact integer."""
+    steps = t.decompose(cycle)
     total = 0
-    for w in t.weights:
-        if act(cycle, w, t.k) == w:
-            total += t.value(w, cycle).as_sign()
+    for wi, image in enumerate(t.flip_image(cycle)):
+        if image == wi:
+            total += t.walk(wi, steps)[0].as_sign()
     return total
 
 
@@ -63,9 +64,10 @@ def diagonal_intertwiner_ok(
     t1: CocycleTable, t2: CocycleTable, c: ZeroCochain, cycle: int
 ) -> bool:
     """phi_c . rho(t1)(cycle) == rho(t2)(cycle) . phi_c, entrywise."""
-    k = t1.k
-    for w in t1.weights:
-        lhs = t1.table[(cycle, w)] * c[act(cycle, w, k)]
+    weights = t1.weights
+    image = t1.flip_image(cycle)
+    for wi, w in enumerate(weights):
+        lhs = t1.table[(cycle, w)] * c[weights[image[wi]]]
         rhs = t2.table[(cycle, w)] * c[w]
         if lhs != rhs:
             return False

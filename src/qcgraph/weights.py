@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple, Sequence
 
 from .errors import RangeError
 from .f2 import f2_reduce
@@ -157,6 +158,28 @@ def enumerate_admissible_bruteforce(
 def act(cycle: int, w: WeightVector, k: int) -> WeightVector:
     """Flip doubled[l] -> k - doubled[l] on the support of the cycle."""
     return tuple(k - x if cycle >> i & 1 else x for i, x in enumerate(w))
+
+
+class FlipAction(NamedTuple):
+    """The flip action of a cycle basis on an indexed weight list.
+
+    index[w] is the position of w in the weight list, and perms[i][j] is the
+    position of act(basis[i], weights[j], k).  A cycle acts as the
+    composition of the permutations of its basis elements, in any order.
+    """
+
+    index: dict[WeightVector, int]
+    perms: tuple[tuple[int, ...], ...]
+
+
+def flip_action(
+    basis: Sequence[int], weights: Sequence[WeightVector], k: int
+) -> FlipAction:
+    """One flip permutation per basis cycle; weights must be closed under
+    the flips (as every admissible set is)."""
+    index = {w: i for i, w in enumerate(weights)}
+    perms = tuple(tuple(index[act(b, w, k)] for w in weights) for b in basis)
+    return FlipAction(index, perms)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command-line interface: golden output, determinism and exit codes."""
 
+import hashlib
+
 import pytest
 
 from qcgraph.cli import run
@@ -18,6 +20,87 @@ THETA_ENUMERATE = """\
 2\t1\t1
 2\t2\t0
 """
+
+# qcgraph rep --level 4 on the dumbbell: one matrix per basis cycle
+REP_DUMBBELL_4 = """\
+cycle a
+0 -> 30, 0/1
+1 -> 31, 0/1
+2 -> 32, 0/1
+3 -> 33, 0/1
+4 -> 34, 0/1
+5 -> 22, 0/1
+6 -> 23, 0/1
+7 -> 24, 0/1
+8 -> 25, 0/1
+9 -> 26, 0/1
+10 -> 27, 0/1
+11 -> 28, 0/1
+12 -> 29, 0/1
+13 -> 13, 0/1
+14 -> 14, 0/1
+15 -> 15, 1/2
+16 -> 16, 0/1
+17 -> 17, 1/2
+18 -> 18, 0/1
+19 -> 19, 0/1
+20 -> 20, 1/2
+21 -> 21, 0/1
+22 -> 5, 0/1
+23 -> 6, 0/1
+24 -> 7, 0/1
+25 -> 8, 0/1
+26 -> 9, 0/1
+27 -> 10, 0/1
+28 -> 11, 0/1
+29 -> 12, 0/1
+30 -> 0, 0/1
+31 -> 1, 0/1
+32 -> 2, 0/1
+33 -> 3, 0/1
+34 -> 4, 0/1
+cycle b
+0 -> 4, 0/1
+1 -> 3, 0/1
+2 -> 2, 0/1
+3 -> 1, 0/1
+4 -> 0, 0/1
+5 -> 12, 0/1
+6 -> 10, 0/1
+7 -> 11, 0/1
+8 -> 8, 0/1
+9 -> 9, 1/2
+10 -> 6, 0/1
+11 -> 7, 0/1
+12 -> 5, 0/1
+13 -> 21, 0/1
+14 -> 19, 0/1
+15 -> 20, 0/1
+16 -> 16, 0/1
+17 -> 17, 1/2
+18 -> 18, 0/1
+19 -> 14, 0/1
+20 -> 15, 0/1
+21 -> 13, 0/1
+22 -> 29, 0/1
+23 -> 27, 0/1
+24 -> 28, 0/1
+25 -> 25, 0/1
+26 -> 26, 1/2
+27 -> 23, 0/1
+28 -> 24, 0/1
+29 -> 22, 0/1
+30 -> 34, 0/1
+31 -> 33, 0/1
+32 -> 32, 0/1
+33 -> 31, 0/1
+34 -> 30, 0/1
+"""
+
+# sha256 of qcgraph ext-cocycle --level 4 on the dumbbell
+EXT_COCYCLE_DUMBBELL_4 = (
+    "96bace2c2cf064dc203e57845c6df6a3145dbf42203884f5004ffd4fc9331f95"
+)
 
 
 @pytest.fixture
@@ -63,6 +146,20 @@ class TestGolden:
         assert code == 0
         assert "1/2" in out  # the -1 entries at the doubly-fixed weight
         assert "target 1/2" in out
+
+    def test_ext_cocycle_dumbbell_digest(self, graph_file, capsys):
+        path = graph_file(dumbbell())
+        code, out, _ = run_capture(
+            ["ext-cocycle", "--graph", path, "--level", "4"], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXT_COCYCLE_DUMBBELL_4
+
+    def test_rep_dumbbell(self, graph_file, capsys):
+        path = graph_file(dumbbell())
+        code, out, _ = run_capture(["rep", "--graph", path, "--level", "4"], capsys)
+        assert code == 0
+        assert out == REP_DUMBBELL_4
 
     def test_orbits_dumbbell(self, graph_file, capsys):
         path = graph_file(dumbbell())

@@ -1,5 +1,6 @@
 """Twisted cocycles, coboundaries, the class invariant and class counting."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from qcgraph.cohomology import (
 from qcgraph.errors import IncompleteTable, NotACoboundary
 from qcgraph.external import construct_external_cocycle
 from qcgraph.weights import act, enumerate_admissible, orbits
-from suitegraphs import dumbbell, gamma1, theta, tree3
+from suitegraphs import SUITE, dumbbell, gamma1, theta, tree3
 
 
 def cochain(graph, k, boundary, overrides=None):
@@ -192,3 +193,37 @@ class TestCounting:
     def test_sign_family_members_are_cocycles(self):
         for t in enumerate_sign_cocycles(dumbbell(), 2, {}, cap=256):
             assert is_twisted_cocycle(t)
+
+
+# sha256 over the serialized tables of enumerate_sign_cocycles, in order:
+# (graph, level, boundary, cap, tables yielded, digest).  Level 2 yields
+# the whole family; cap 256 takes the seeded-sample path where the family
+# is larger.
+SIGN_FAMILY_DIGESTS = [
+    ("theta", 2, {}, 65536, 512, "f399ac074e57a547d8b6c3ea68021f1e2137c17fc3ec0295a5e6dab315d2a88f"),
+    ("theta", 3, {}, 256, 256, "8cb026506715d1b49282be574cc1eb014cd1c11c303ddca09ad9ba1cb4eb7f49"),
+    ("theta", 4, {}, 256, 256, "4dcb246e01de08c9a8d703f7c439ca9b34be3a7367fb0c9de25804ff397f9446"),
+    ("dumbbell", 2, {}, 65536, 2048, "ff272344c45ec98a2a9092bf9ed141333aefb11489ce16bfe874f9ce3b2c3c14"),
+    ("dumbbell", 3, {}, 256, 256, "f57f1024a2a5df48a431e24a5f146ec2e0da7251b4a2ab6f1078d10d2f30cc4a"),
+    ("dumbbell", 4, {}, 256, 256, "4940a37247e69b8229acceb6888392d93e58791ad6562e2a6783611faccd8771"),
+    ("gamma2", 2, {'w1': 0, 'w2': 0}, 65536, 4, "9a7030e64bc842209ea7ea5fe5fea4fa8d358cb2ecdcfd5bb9b49c33df53847c"),
+    ("gamma2", 2, {'w1': 2, 'w2': 2}, 65536, 4, "9a7030e64bc842209ea7ea5fe5fea4fa8d358cb2ecdcfd5bb9b49c33df53847c"),
+    ("gamma2", 3, {'w1': 0, 'w2': 0}, 256, 4, "62827b7af9a9f434bc8832a5eb927020b5855e281dd51dda7232f247afa1286a"),
+    ("gamma2", 3, {'w1': 2, 'w2': 2}, 256, 8, "21784f5eb6c0cc17e84d54591a7c7be9be7a2d42f30d0bc6dadc36e65b4c1626"),
+    ("gamma2", 4, {'w1': 0, 'w2': 0}, 256, 8, "e40306a52cc8458c98f1b4aea4c66090f991ca1a5fe5c40b5a165567789f0b91"),
+    ("gamma2", 4, {'w1': 2, 'w2': 2}, 256, 32, "863c2b9f1566c45c16d01ec127864713737785b508f33e7c1f37866fe2215a99"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, k, boundary, cap, count, digest",
+    SIGN_FAMILY_DIGESTS,
+    ids=[f"{r[0]}-{r[1]}-{sum(r[2].values())}" for r in SIGN_FAMILY_DIGESTS],
+)
+def test_sign_family_golden_digest(name, k, boundary, cap, count, digest):
+    h = hashlib.sha256()
+    n = 0
+    for t in enumerate_sign_cocycles(SUITE[name](), k, boundary, cap=cap):
+        h.update(t.serialize().encode())
+        n += 1
+    assert (n, h.hexdigest()) == (count, digest)
