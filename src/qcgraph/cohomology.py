@@ -5,12 +5,15 @@ A 1-cochain assigns a circle value to every (cycle, admissible weight) pair;
 tables are stored on a fixed homology basis and extended to the whole group
 through the twisted product rule
 ``delta_j(l1 + l2) = delta_{l1.j}(l2) * delta_j(l1)``.
+
+Everything here reads the weights, basis, flip permutations and orbits of
+a (graph, level, boundary) from its shared weights.Instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from .circle import MINUS_ONE, ONE, CircleValue
 from .errors import (
@@ -23,13 +26,11 @@ from .errors import (
 from .f2 import F2Span, f2_nullspace, f2_rank
 from .graph import Graph
 from .weights import (  # noqa: F401  act stays importable from here
-    FlipAction,
+    Instance,
     Orbit,
     WeightVector,
     act,
-    enumerate_admissible,
-    flip_action,
-    orbits,
+    instance,
 )
 
 ZeroCochain = dict  # WeightVector -> CircleValue, total on the admissible set
@@ -37,17 +38,12 @@ ZeroCochain = dict  # WeightVector -> CircleValue, total on the admissible set
 
 @dataclass
 class CocycleTable:
-    """A twisted 1-cochain stored on a homology basis and all admissible
-    weights, with lazy extension to the full group."""
+    """A twisted 1-cochain stored on the instance's homology basis and all
+    its admissible weights, with lazy extension to the full group."""
 
     graph: Graph
-    k: int
-    boundary: dict[str, int]
-    basis: tuple[int, ...]
-    weights: tuple[WeightVector, ...]
+    inst: Instance
     table: dict[tuple[int, WeightVector], CircleValue]
-    _span: Optional[F2Span] = field(default=None, repr=False, compare=False)
-    _flips: Optional[FlipAction] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -57,30 +53,35 @@ class CocycleTable:
         boundary: dict[str, int],
         fn: Callable[[int, WeightVector], CircleValue],
     ) -> CocycleTable:
-        basis = tuple(graph.cycle_basis())
-        weights = tuple(enumerate_admissible(graph, k, boundary))
-        table = {(b, w): fn(b, w) for b in basis for w in weights}
-        return cls(graph, k, boundary, basis, weights, table)
+        inst = instance(graph, k, boundary)
+        table = {(b, w): fn(b, w) for b in inst.basis for w in inst.weights}
+        return cls(graph, inst, table)
 
     @classmethod
     def trivial(cls, graph: Graph, k: int, boundary: dict[str, int]) -> CocycleTable:
         return cls.build(graph, k, boundary, lambda b, w: ONE)
 
     @property
-    def flips(self) -> FlipAction:
-        """The basis flip permutations on the weight indices.  Built once
-        from the basis and weights alone, so edits to table stay visible."""
-        if self._flips is None:
-            self._flips = flip_action(self.basis, self.weights, self.k)
-        return self._flips
+    def k(self) -> int:
+        return self.inst.k
+
+    @property
+    def boundary(self) -> dict[str, int]:
+        return self.inst.boundary
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        return self.inst.basis
+
+    @property
+    def weights(self) -> tuple[WeightVector, ...]:
+        return self.inst.weights
 
     # -- full-group evaluation -------------------------------------------
 
     def decompose(self, cycle: int) -> list[int]:
         """Express a cycle in the table's basis; ascending index list."""
-        if self._span is None:
-            self._span = F2Span(self.basis)
-        combo = self._span.solve(cycle)
+        combo = self.inst.span.solve(cycle)
         if combo is None:
             raise ValueError(f"cycle {cycle:b} is not in the homology span")
         return [i for i in range(len(self.basis)) if combo >> i & 1]
@@ -88,9 +89,8 @@ class CocycleTable:
     def walk(self, wi: int, steps: list[int]) -> tuple[CircleValue, int]:
         """The value at weights[wi] of the cycle with basis decomposition
         steps, and the index its flip sends wi to."""
-        perms, table, basis, weights = (
-            self.flips.perms, self.table, self.basis, self.weights
-        )
+        inst, table = self.inst, self.table
+        perms, basis, weights = inst.perms, inst.basis, inst.weights
         val = ONE
         for i in steps:
             val = val * table[(basis[i], weights[wi])]
@@ -100,7 +100,7 @@ class CocycleTable:
     def flip_image(self, cycle: int) -> list[int]:
         """image[wi]: the index the cycle's flip sends weight index wi to."""
         image = list(range(len(self.weights)))
-        perms = self.flips.perms
+        perms = self.inst.perms
         for i in self.decompose(cycle):
             p = perms[i]
             image = [p[wi] for wi in image]
@@ -108,23 +108,18 @@ class CocycleTable:
 
     def value(self, w: WeightVector, cycle: int) -> CircleValue:
         """delta_w(cycle) via the twisted product rule over the basis."""
-        return self.walk(self.flips.index[w], self.decompose(cycle))[0]
+        return self.walk(self.inst.index[w], self.decompose(cycle))[0]
 
     # -- algebra ----------------------------------------------------------
 
-    def _derive(self, table: dict) -> CocycleTable:
-        """A table on the same domain, sharing its span and flips."""
-        return CocycleTable(
-            self.graph, self.k, self.boundary, self.basis, self.weights, table,
-            self._span, self.flips,
-        )
-
     def __mul__(self, other: CocycleTable) -> CocycleTable:
         ot = other.table
-        return self._derive({key: v * ot[key] for key, v in self.table.items()})
+        table = {key: v * ot[key] for key, v in self.table.items()}
+        return CocycleTable(self.graph, self.inst, table)
 
     def inverse(self) -> CocycleTable:
-        return self._derive({key: v.inverse() for key, v in self.table.items()})
+        table = {key: v.inverse() for key, v in self.table.items()}
+        return CocycleTable(self.graph, self.inst, table)
 
     def serialize(self) -> str:
         lines = []
@@ -143,7 +138,7 @@ def is_twisted_cocycle(t: CocycleTable) -> bool:
             cols.append([t.table[(b, w)] for w in t.weights])
         except KeyError:
             raise IncompleteTable(f"missing entry for cycle {b:b}") from None
-    perms = t.flips.perms
+    perms = t.inst.perms
     g = len(cols)
     for wi in range(len(t.weights)):
         for i in range(g):
@@ -162,22 +157,20 @@ def coboundary_of(
     graph: Graph, k: int, boundary: dict[str, int], c: ZeroCochain
 ) -> CocycleTable:
     """(dc)_w(b) = c_{b.w} * c_w^{-1}."""
-    basis = tuple(graph.cycle_basis())
-    weights = tuple(enumerate_admissible(graph, k, boundary))
-    flips = flip_action(basis, weights, k)
-    vals = [c[w] for w in weights]
+    inst = instance(graph, k, boundary)
+    vals = [c[w] for w in inst.weights]
     inverses = [v.inverse() for v in vals]
     table = {
         (b, w): vals[p[wi]] * inverses[wi]
-        for b, p in zip(basis, flips.perms)
-        for wi, w in enumerate(weights)
+        for b, p in zip(inst.basis, inst.perms)
+        for wi, w in enumerate(inst.weights)
     }
-    return CocycleTable(graph, k, boundary, basis, weights, table, _flips=flips)
+    return CocycleTable(graph, inst, table)
 
 
 def fixed_pairs(t: CocycleTable) -> Iterator[tuple[int, WeightVector]]:
     """All (nonzero cycle, weight) pairs with cycle fixing the weight."""
-    for lam in t.graph.all_cycles():
+    for lam in t.inst.cycles:
         if lam == 0:
             continue
         for wi, (w, image) in enumerate(zip(t.weights, t.flip_image(lam))):
@@ -198,9 +191,10 @@ def cobounding_chain(t: CocycleTable) -> ZeroCochain:
     if not is_coboundary(t):
         raise NotACoboundary("cocycle has a nontrivial fixed-pair value")
     c: ZeroCochain = {}
-    steps = [t.decompose(lam) for lam in t.graph.all_cycles()]
-    index, perms = t.flips
-    for orb in orbits(t.graph, t.k, t.boundary):
+    inst = t.inst
+    steps = [t.decompose(lam) for lam in inst.cycles]
+    index, perms = inst.index, inst.perms
+    for orb in inst.orbits:
         ri = index[orb.representative]
         for s in steps:
             # the target first: only the first cycle reaching it sets c
@@ -243,7 +237,7 @@ def cohomology_invariant(t: CocycleTable) -> CohomologyInvariant:
     if not is_twisted_cocycle(t):
         raise NotACocycle("table fails the twisted cocycle identity")
     d: dict[WeightVector, dict[int, CircleValue]] = {}
-    for orb in orbits(t.graph, t.k, t.boundary):
+    for orb in t.inst.orbits:
         rep = orb.representative
         d[rep] = {lam: t.value(rep, lam) for lam in orb.stabilizer}
     return CohomologyInvariant.from_dict(d)
@@ -271,21 +265,18 @@ def cocycle_from_characters(
     """Lift per-orbit stabilizer characters to a cocycle: extend each
     stabilizer basis to a homology basis and set the lift to 1 on the
     complement."""
-    orbs = orbits(graph, k, boundary)
+    inst = instance(graph, k, boundary)
     inv_d = inv.as_dict()
-    full_basis = graph.cycle_basis()
     per_weight: dict[tuple[WeightVector, int], CircleValue] = {}
-    for orb in orbs:
+    for orb in inst.orbits:
         chars = inv_d.get(orb.representative, {0: ONE})
         _check_character(orb, chars)
         # extend the stabilizer basis to a homology basis; the lift is the
         # character on the stabilizer part and 1 on the complement
-        stab_basis = list(orb.stabilizer_basis)
-        span = F2Span(stab_basis)
-        for b in full_basis:
-            span.add(b)
+        stab_basis = orb.stabilizer_basis
+        span = F2Span(stab_basis + inst.basis)
         stab_count = len(stab_basis)
-        for b in full_basis:
+        for b in inst.basis:
             combo = span.solve(b)
             assert combo is not None
             val = ONE
@@ -294,14 +285,13 @@ def cocycle_from_characters(
                     val = val * chars[stab_basis[j]]
             for w in orb.members:
                 per_weight[(w, b)] = val
-    weights = tuple(enumerate_admissible(graph, k, boundary))
-    table = {(b, w): per_weight[(w, b)] for b in full_basis for w in weights}
-    return CocycleTable(graph, k, boundary, tuple(full_basis), weights, table)
+    table = {(b, w): per_weight[(w, b)] for b in inst.basis for w in inst.weights}
+    return CocycleTable(graph, inst, table)
 
 
 def cohomology_group_order(graph: Graph, k: int, boundary: dict[str, int]) -> int:
     """Product over orbits of 2^(stabilizer dimension)."""
-    return 1 << sum(o.stabilizer_dim for o in orbits(graph, k, boundary))
+    return 1 << sum(o.stabilizer_dim for o in instance(graph, k, boundary).orbits)
 
 
 # -- independent oracle ---------------------------------------------------
@@ -342,15 +332,14 @@ def brute_force_class_count(
 ) -> int:
     """Number of cohomology classes among sign-valued tables, computed by F2
     rank arithmetic on the cocycle identities and the coboundary image."""
-    weights = enumerate_admissible(graph, k, boundary)
-    if (1 << graph.genus) * len(weights) > cap:
+    inst = instance(graph, k, boundary)
+    nw, g = len(inst.weights), len(inst.basis)
+    if (1 << g) * nw > cap:
         raise CapExceeded(f"instance beyond cap {cap}")
-    basis = graph.cycle_basis()
-    g = len(basis)
-    perms = flip_action(basis, weights, k).perms
+    perms = inst.perms
     # constraints only couple weight indices reachable through the flip
     # permutations, so eliminate per connected block
-    parent = list(range(len(weights)))
+    parent = list(range(nw))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -362,7 +351,7 @@ def brute_force_class_count(
         for i, j in enumerate(p):
             parent[find(i)] = find(j)
     blocks: dict[int, list[int]] = {}
-    for i in range(len(weights)):
+    for i in range(nw):
         blocks.setdefault(find(i), []).append(i)
 
     dim_z = dim_b = 0
@@ -392,18 +381,16 @@ def enumerate_sign_cocycles(
     """Yield sign-valued cocycle tables from the F2 solution space; all of
     them when at most cap, else a deterministic sample of size cap.  The
     system is the oracle's with all weights in one block; the tables share
-    one span and one set of flip permutations."""
-    basis = tuple(graph.cycle_basis())
-    weights = tuple(enumerate_admissible(graph, k, boundary))
-    flips = flip_action(basis, weights, k)
+    the triple's instance."""
+    inst = instance(graph, k, boundary)
+    basis, weights = inst.basis, inst.weights
     nw = len(weights)
     nvars = len(basis) * nw
     equations = _sign_cocycle_equations(
-        flips.perms, range(nw), lambda bi, wi: bi * nw + wi
+        inst.perms, range(nw), lambda bi, wi: bi * nw + wi
     )
     null = f2_nullspace(equations, nvars)
     dim = len(null)
-    span = F2Span(basis)
 
     def to_table(assign: int) -> CocycleTable:
         table = {}
@@ -411,7 +398,7 @@ def enumerate_sign_cocycles(
             bits = assign >> bi * nw
             for wi, w in enumerate(weights):
                 table[(b, w)] = MINUS_ONE if bits >> wi & 1 else ONE
-        return CocycleTable(graph, k, boundary, basis, weights, table, span, flips)
+        return CocycleTable(graph, inst, table)
 
     if 1 << dim <= cap:
         coeffs: Iterator[int] = iter(range(1 << dim))

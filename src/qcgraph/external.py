@@ -18,7 +18,7 @@ from .cohomology import (
 )
 from .errors import NotACocycle, NotFixed, NotGammaN, ParityFailure, ZeroCycle
 from .graph import Graph, recognize_gamma_n
-from .weights import Orbit, WeightVector, act, orbits
+from .weights import Instance, Orbit, WeightVector, act, instance
 
 
 def external_target(
@@ -62,7 +62,7 @@ def external_characters(
 ) -> CohomologyInvariant:
     """Per-orbit stabilizer characters prescribed by the external targets."""
     d: dict[WeightVector, dict[int, CircleValue]] = {}
-    for orb in orbits(graph, k, boundary):
+    for orb in instance(graph, k, boundary).orbits:
         if not check_parity_identity(graph, k, orb):
             raise ParityFailure(
                 f"external targets fail to be a character on orbit of "
@@ -105,7 +105,7 @@ def standard_gamma_n_cocycle(
     if rec is None:
         raise NotGammaN("graph is not connected with first Betti number 1")
     _, gen = rec
-    j0 = _gamma_n_fixed_weight(graph, k, boundary, gen)
+    j0 = _gamma_n_fixed_weight(instance(graph, k, boundary), gen)
     bsum = sum(boundary[v] for v in graph.boundary_vertices)
 
     def fn(b: int, w: WeightVector) -> CircleValue:
@@ -116,15 +116,11 @@ def standard_gamma_n_cocycle(
     return CocycleTable.build(graph, k, boundary, fn)
 
 
-def _gamma_n_fixed_weight(graph, k, boundary, gen):
+def _gamma_n_fixed_weight(inst: Instance, gen: int):
     """The only weight the generator can fix, if admissible; else None."""
-    if k % 2:
+    if inst.k % 2:
         return None
-    from .weights import enumerate_admissible
-
-    candidates = [
-        w for w in enumerate_admissible(graph, k, boundary) if act(gen, w, k) == w
-    ]
+    candidates = [w for w in inst.weights if act(gen, w, inst.k) == w]
     if not candidates:
         return None
     if len(candidates) > 1:

@@ -41,17 +41,10 @@ class F2Span:
         self.rows.sort(key=lambda r: r[0] & -r[0])
         return True
 
-    def contains(self, v: int) -> bool:
-        return self._reduce(v)[0] == 0
-
     def solve(self, target: int) -> Optional[int]:
         """Combo bitmask over generators reproducing target, or None."""
         v, combo = self._reduce(target, 0)
         return None if v else combo
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
     def basis(self) -> list[int]:
         return [rv for rv, _ in self.rows]

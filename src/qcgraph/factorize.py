@@ -27,12 +27,18 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional
 
-from .circle import CircleValue
-from .cohomology import CocycleTable, is_twisted_cocycle
+from .circle import MINUS_ONE, CircleValue
+from .cohomology import (
+    CocycleTable,
+    CohomologyInvariant,
+    cocycle_from_characters,
+    is_twisted_cocycle,
+)
 from .errors import CapExceeded, NotACocycle, NotGammaN, WeightMismatch
-from .external import construct_external_cocycle, external_target
+from .external import construct_external_cocycle, external_characters, external_target
+from .f2 import F2Span
 from .graph import CutResult, Graph, cut_edges, isolate_cycle, recognize_gamma_n
-from .weights import WeightVector, act, enumerate_admissible
+from .weights import WeightVector, act, enumerate_admissible, instance
 
 Jpp = tuple[int, ...]  # doubled weights on the cut edges, in cut order
 
@@ -50,30 +56,21 @@ class Decomposition:
     def cut(self) -> tuple[str, ...]:
         return self.cut_result.cut
 
-    def leg_origin(self, eid: str) -> Optional[str]:
-        base, _, suffix = eid.rpartition(":")
-        if suffix in ("1", "2") and base in self.cut_result.pairing:
-            return base
-        return None
-
     def part_boundary(
         self, part: Graph, boundary: dict[str, int], jpp: Jpp
     ) -> dict[str, int]:
         """Boundary weights for a part: inherited entries plus j'' on the
         new legs."""
-        jpp_of = dict(zip(self.cut, jpp))
+        pairing = self.cut_result.pairing
+        at_leg = {v: x for f, x in zip(self.cut, jpp) for v in pairing[f]}
         out: dict[str, int] = {}
         for v in part.boundary_vertices:
             if v in boundary:
                 out[v] = boundary[v]
+            elif v in at_leg:
+                out[v] = at_leg[v]
             else:
-                for eid, a, b in part.edges:
-                    origin = self.leg_origin(eid)
-                    if origin is not None and v in (a, b):
-                        out[v] = jpp_of[origin]
-                        break
-                else:
-                    raise WeightMismatch(f"no weight for boundary vertex {v!r}")
+                raise WeightMismatch(f"no weight for boundary vertex {v!r}")
         return out
 
     def coordinates(self, part: Graph) -> tuple[int, ...]:
@@ -81,7 +78,7 @@ class Decomposition:
         cut edge it came from."""
         out = []
         for eid in part.edge_ids:
-            origin = self.leg_origin(eid)
+            origin = self.cut_result.origin(eid)
             out.append(self.graph.edge_index(eid if origin is None else origin))
         return tuple(out)
 
@@ -91,7 +88,7 @@ class Decomposition:
         out = 0
         for i, (eid, _, _) in enumerate(part.edges):
             if mask >> i & 1:
-                if self.leg_origin(eid) is not None:
+                if self.cut_result.origin(eid) is not None:
                     raise ValueError("a leg cannot lie on a cycle")
                 out |= 1 << self.graph.edge_index(eid)
         return out
@@ -102,7 +99,7 @@ class Decomposition:
         values: dict[str, int] = dict(jpp_of)
         for part, w in ((self.part1, w1), (self.part2, w2)):
             for i, (eid, _, _) in enumerate(part.edges):
-                origin = self.leg_origin(eid)
+                origin = self.cut_result.origin(eid)
                 if origin is None:
                     values[eid] = w[i]
                 elif w[i] != jpp_of[origin]:
@@ -185,16 +182,14 @@ def restrict_cocycle(
     value at the transported cycle and the glued weight.
     """
     part1 = dec.part1
-    b1 = dec.part_boundary(part1, t.boundary, jpp)
-    basis = tuple(part1.cycle_basis())
-    weights = tuple(enumerate_admissible(part1, t.k, b1))
+    inst = instance(part1, t.k, dec.part_boundary(part1, t.boundary, jpp))
     table = {}
-    for b in basis:
+    for b in inst.basis:
         lam = dec.to_original_cycle(part1, b)
-        for w in weights:
+        for w in inst.weights:
             glued = dec.glue_weights(w, fixed, jpp)
             table[(b, w)] = t.value(glued, lam)
-    return CocycleTable(part1, t.k, b1, basis, weights, table)
+    return CocycleTable(part1, inst, table)
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ def restriction_plan(
         contexts.setdefault(key, []).append(w)
     inside = 0
     for eid in dec.part1.edge_ids:
-        if dec.leg_origin(eid) is None:
+        if dec.cut_result.origin(eid) is None:
             inside |= 1 << graph.edge_index(eid)
     return RestrictionPlan(
         dec, dict(sorted(contexts.items())), dec.coordinates(dec.part1), inside
@@ -281,7 +276,7 @@ def equivalent_under_factorization(
     _require_cocycle(t1)
     _require_cocycle(t2)
     k = t1.k
-    cycles = [lam for lam in t1.graph.all_cycles() if lam]
+    cycles = [lam for lam in t1.inst.cycles if lam]
     diffs: dict[WeightVector, list[tuple[int, int]]] = {}
     for w in t1.weights:
         half = _half_mask(w, k)
@@ -386,7 +381,7 @@ def _piece_witness(
 ) -> Optional[tuple[int, Jpp, WeightVector]]:
     graph = t.graph
     count = 0
-    for lam in graph.all_cycles():
+    for lam in t.inst.cycles:
         if lam == 0:
             continue
         with_cycle, _, res = isolate_cycle(graph, lam)
@@ -430,14 +425,11 @@ def verify_characterization(
     Only these single-generator sign mutations are checked, not every
     class that differs from the external one.
     """
-    from .cohomology import cocycle_from_characters
-    from .external import external_characters
-
     # both tables are cocycles by construction
-    ext = construct_external_cocycle(graph, k, boundary)
+    ext_inv = external_characters(graph, k, boundary)
+    ext = cocycle_from_characters(graph, k, boundary, ext_inv)
     if _piece_witness(ext, cap) is not None:
         return False
-    ext_inv = external_characters(graph, k, boundary)
     for mutated in _mutated_invariants(ext_inv):
         t = cocycle_from_characters(graph, k, boundary, mutated)
         if _piece_witness(t, cap) is None:
@@ -445,24 +437,17 @@ def verify_characterization(
     return True
 
 
-def _mutated_invariants(inv) -> Iterator:
+def _mutated_invariants(inv: CohomologyInvariant) -> Iterator:
     """Invariants differing from inv by one sign on one stabilizer basis
     element of one orbit."""
-    from .circle import MINUS_ONE
-    from .cohomology import CohomologyInvariant
-    from .f2 import F2Span
-
     d = inv.as_dict()
     for rep, chars in d.items():
-        nonzero = [lam for lam in chars if lam != 0]
-        basis = F2Span(sorted(nonzero)).basis()
-        for b in basis:
-            mutated = {r: dict(c) for r, c in d.items()}
-            span = F2Span(basis)
-            for lam in chars:
-                combo = span.solve(lam)
-                if combo is not None and any(
-                    combo >> i & 1 and basis[i] == b for i in range(len(basis))
-                ):
-                    mutated[rep][lam] = chars[lam] * MINUS_ONE
-            yield CohomologyInvariant.from_dict(mutated)
+        basis = F2Span(sorted(lam for lam in chars if lam)).basis()
+        span = F2Span(basis)  # bit i of a combo stands for basis[i]
+        combos = {lam: span.solve(lam) for lam in chars}
+        for i in range(len(basis)):
+            mutated = dict(chars)
+            for lam, combo in combos.items():
+                if combo is not None and combo >> i & 1:
+                    mutated[lam] = chars[lam] * MINUS_ONE
+            yield CohomologyInvariant.from_dict({**d, rep: mutated})

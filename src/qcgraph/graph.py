@@ -34,6 +34,7 @@ class Graph:
 
     The vertex list, the incidence map and the trivalent vertices are built
     once in __post_init__; the cycle basis is computed on first use.
+    _instances memoizes the weights.Instance of each (level, boundary).
     """
 
     edges: tuple[Edge, ...]
@@ -46,6 +47,9 @@ class Graph:
     _trivalent: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _basis: Optional[tuple[int, ...]] = field(
         init=False, repr=False, compare=False, default=None
+    )
+    _instances: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self):
@@ -77,10 +81,6 @@ class Graph:
 
     def edge_index(self, eid: str) -> int:
         return self._index[eid]
-
-    def endpoints(self, eid: str) -> tuple[str, str]:
-        _, a, b = self.edges[self._index[eid]]
-        return a, b
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -212,9 +212,6 @@ class Graph:
         for eid in ids:
             mask |= 1 << self.edge_index(eid)
         return mask
-
-    def vertex_on_cycle(self, v: str, mask: int) -> bool:
-        return any(mask >> i & 1 for i in self.incident_edges(v))
 
     # -- edge classification ---------------------------------------------
 
@@ -367,6 +364,14 @@ class CutResult:
     cut: tuple[str, ...]  # cut edge ids in canonical order
     pairing: dict[str, tuple[str, str]]  # origin edge -> (new vertex, new vertex)
 
+    def origin(self, eid: str) -> Optional[str]:
+        """The cut edge that the leg eid (f:1 or f:2) came from; None for
+        an edge that is not a leg of this cut."""
+        base, _, suffix = eid.rpartition(":")
+        if suffix in ("1", "2") and base in self.pairing:
+            return base
+        return None
+
     def component_subgraphs(self) -> list[Graph]:
         out = []
         for comp in self.graph.components():
@@ -443,8 +448,8 @@ def glue(cut_result: CutResult) -> Graph:
     restored: dict[str, list[str]] = {}
     drop_boundary = set()
     for eid, a, b in g.edges:
-        base, _, suffix = eid.rpartition(":")
-        if suffix in ("1", "2") and base in cut_result.pairing:
+        base = cut_result.origin(eid)
+        if base is not None:
             # the non-fresh endpoint of each half is the original endpoint
             w1, w2 = cut_result.pairing[base]
             keep = a if b in (w1, w2) else b

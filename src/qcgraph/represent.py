@@ -86,5 +86,5 @@ def reps_isomorphic(t1: CocycleTable, t2: CocycleTable) -> bool:
     """Characters agree on the full homology group (monomial representations
     of a finite abelian group are determined by their characters)."""
     return all(
-        character(t1, lam) == character(t2, lam) for lam in t1.graph.all_cycles()
+        character(t1, lam) == character(t2, lam) for lam in t1.inst.cycles
     )

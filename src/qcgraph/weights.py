@@ -2,16 +2,20 @@
 
 Weights are stored doubled (value = 2*j), so all arithmetic stays integral.
 A WeightVector is a plain tuple of doubled integers in canonical edge order.
+
+The state of one (graph, level, boundary) -- its weights, cycles, flip
+permutations and orbits -- lives on one Instance, which instance() builds
+once and memoizes on the graph for every caller to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Sequence
 
 from .errors import RangeError
-from .f2 import f2_reduce
+from .f2 import F2Span, f2_reduce
 from .graph import Graph
 
 WeightVector = tuple[int, ...]
@@ -160,28 +164,6 @@ def act(cycle: int, w: WeightVector, k: int) -> WeightVector:
     return tuple(k - x if cycle >> i & 1 else x for i, x in enumerate(w))
 
 
-class FlipAction(NamedTuple):
-    """The flip action of a cycle basis on an indexed weight list.
-
-    index[w] is the position of w in the weight list, and perms[i][j] is the
-    position of act(basis[i], weights[j], k).  A cycle acts as the
-    composition of the permutations of its basis elements, in any order.
-    """
-
-    index: dict[WeightVector, int]
-    perms: tuple[tuple[int, ...], ...]
-
-
-def flip_action(
-    basis: Sequence[int], weights: Sequence[WeightVector], k: int
-) -> FlipAction:
-    """One flip permutation per basis cycle; weights must be closed under
-    the flips (as every admissible set is)."""
-    index = {w: i for i, w in enumerate(weights)}
-    perms = tuple(tuple(index[act(b, w, k)] for w in weights) for b in basis)
-    return FlipAction(index, perms)
-
-
 @dataclass(frozen=True)
 class Orbit:
     """An H1-orbit of admissible weights with its stabilizer subgroup."""
@@ -202,19 +184,69 @@ class Orbit:
         return len(self.stabilizer_basis)
 
 
+@dataclass(frozen=True)
+class Instance:
+    """The admissible weights of one (graph, level, boundary) with the H1
+    flip action on them; k and boundary are the instance's own copies.
+
+    perms[i][j] is the index of act(basis[i], weights[j], k), and a cycle
+    acts as the composition of its basis elements' permutations.  index,
+    perms, span and orbits are built on first use.  There is no reference
+    back to the graph, so a graph memoizing it is freed by refcounting.
+    """
+
+    k: int
+    boundary: dict[str, int]
+    weights: tuple[WeightVector, ...]
+    basis: tuple[int, ...]
+    cycles: tuple[int, ...]  # all of H1, ascending
+
+    @cached_property
+    def index(self) -> dict[WeightVector, int]:
+        return {w: i for i, w in enumerate(self.weights)}
+
+    @cached_property
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        index, k = self.index, self.k
+        return tuple(
+            tuple(index[act(b, w, k)] for w in self.weights) for b in self.basis
+        )
+
+    @cached_property
+    def span(self) -> F2Span:
+        return F2Span(self.basis)
+
+    @cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        """The homology orbits, ordered by representative."""
+        k, cycles = self.k, self.cycles
+        seen: set[WeightVector] = set()
+        out: list[Orbit] = []
+        for w in self.weights:
+            if w in seen:
+                continue
+            members = {act(lam, w, k) for lam in cycles}
+            seen |= members
+            rep = min(members)
+            stab = f2_reduce([lam for lam in cycles if act(lam, rep, k) == rep])
+            out.append(Orbit(rep, frozenset(members), tuple(stab)))
+        return tuple(out)
+
+
+def instance(graph: Graph, k: int, boundary: dict[str, int]) -> Instance:
+    """The Instance of (graph, k, boundary), memoized on the graph once the
+    enumeration has accepted the boundary."""
+    key = (k, frozenset(boundary.items()))
+    inst = graph._instances.get(key)
+    if inst is None:
+        weights = tuple(enumerate_admissible(graph, k, boundary))
+        basis, cycles = tuple(graph.cycle_basis()), tuple(graph.all_cycles())
+        inst = Instance(k, dict(boundary), weights, basis, cycles)
+        graph._instances[key] = inst
+    return inst
+
+
 def orbits(graph: Graph, k: int, boundary: dict[str, int]) -> list[Orbit]:
     """Partition of the admissible set into homology orbits, ordered by
     representative."""
-    weights = enumerate_admissible(graph, k, boundary)
-    cycles = graph.all_cycles()
-    seen: set[WeightVector] = set()
-    out: list[Orbit] = []
-    for w in weights:
-        if w in seen:
-            continue
-        members = {act(lam, w, k) for lam in cycles}
-        seen |= members
-        rep = min(members)
-        stab = f2_reduce([lam for lam in cycles if act(lam, rep, k) == rep])
-        out.append(Orbit(rep, frozenset(members), tuple(stab)))
-    return out
+    return list(instance(graph, k, boundary).orbits)

@@ -265,7 +265,7 @@ def test_criterion_09_functoriality_and_characterization():
     a = g.cycle_from_edge_ids(["a"])
     bad = dict(t.table)
     bad[(a, (2, 2, 2))] = bad[(a, (2, 2, 2))] * MINUS_ONE
-    mutated = CocycleTable(g, 4, {}, t.basis, t.weights, bad)
+    mutated = CocycleTable(g, t.inst, bad)
     ok = ok and gamma_piece_witness(mutated) is not None
     report(ok, "criterion 9: functoriality and characterization with witnesses")
 

@@ -261,12 +261,12 @@ class TestFlipPermutationsAgainstAct:
     @given(st.randoms(use_true_random=False))
     def test_table_mutated_after_flips_built(self, rng):
         t = random_table(rng)
-        assert t.flips is not None  # permutations exist before the edit
+        assert t.inst.perms is not None  # permutations exist before the edit
         key = rng.choice(sorted(t.table))
         t.table[key] = t.table[key] * CircleValue(rng.randrange(1, 4), 4)
         assert_matches_reference(t)
         derived = t * t.inverse()
-        assert derived.flips is t.flips
+        assert derived.inst is t.inst
         assert all(v == ONE for v in derived.table.values())
 
     def test_coboundary_of_against_act(self):

@@ -122,7 +122,7 @@ class TestConstruction:
         bad = t.table.copy()
         key = (g.cycle_basis()[0], (2, 2, 2))
         bad[key] = bad[key] * MINUS_ONE
-        t2 = t.__class__(g, 4, t.boundary, t.basis, t.weights, bad, None)
+        t2 = t.__class__(g, t.inst, bad)
         assert not satisfies_external_condition(t2)
 
 

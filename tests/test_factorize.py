@@ -334,7 +334,7 @@ class TestPlanAgainstOracle:
         bad = dict(t.table)
         key = next(iter(bad))
         bad[key] = MINUS_ONE
-        broken = CocycleTable(g, 2, {}, t.basis, t.weights, bad)
+        broken = CocycleTable(g, t.inst, bad)
         assert not is_twisted_cocycle(broken)
         with pytest.raises(NotACocycle):
             equivalent_under_factorization(t, broken)

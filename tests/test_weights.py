@@ -1,22 +1,37 @@
-"""Admissibility, enumeration, the flip action, orbits and stabilizers."""
+"""Admissibility, enumeration, the flip action, orbits and stabilizers,
+and the shared per-(graph, level, boundary) instance."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcgraph.circle import ONE
+from qcgraph.cohomology import (
+    CocycleTable,
+    coboundary_of,
+    cocycle_from_characters,
+    cohomology_invariant,
+    enumerate_sign_cocycles,
+    is_coboundary,
+)
 from qcgraph.errors import RangeError
+from qcgraph.external import construct_external_cocycle, external_characters
 from qcgraph.weights import (
     act,
     check_admissible,
     enumerate_admissible,
     enumerate_admissible_bruteforce,
+    instance,
     orbits,
 )
 from suitegraphs import (
     dumbbell,
     gamma1,
+    gamma2,
     random_unitrivalent,
     suite_instances,
     theta,
@@ -184,3 +199,72 @@ class TestOrbits:
                     w[i] == k // 2 for i in range(g.n_edges) if lam >> i & 1
                 )
                 assert fixed == on_support
+
+
+class TestInstance:
+    def test_tables_of_one_triple_share_one_instance(self):
+        g, k, b = gamma2(), 4, {"w1": 2, "w2": 2}
+        inst = instance(g, k, b)
+        ones = {w: ONE for w in inst.weights}
+        tables = [
+            CocycleTable.build(g, k, b, lambda cycle, w: ONE),
+            coboundary_of(g, k, dict(b), ones),
+            cocycle_from_characters(g, k, b, external_characters(g, k, b)),
+            construct_external_cocycle(g, k, {"w2": 2, "w1": 2}),
+            *enumerate_sign_cocycles(g, k, b, cap=4),
+        ]
+        assert len(tables) == 8
+        assert all(t.inst is inst for t in tables)
+        assert (tables[0] * tables[1]).inst is inst
+        assert tables[2].inverse().inst is inst
+
+    def test_level_and_boundary_select_the_instance(self):
+        g, b = gamma2(), {"w1": 2, "w2": 2}
+        inst = instance(g, 4, b)
+        assert instance(g, 2, b) is not inst
+        assert instance(g, 4, {"w1": 0, "w2": 2}) is not inst
+        assert instance(g, 4, {"w1": 2, "w2": 2}) is inst
+        assert instance(gamma2(), 4, b) is not inst  # memoized per graph object
+
+    def test_boundary_is_the_instance_copy(self):
+        g, b = gamma1(), {"w1": 2}
+        t = CocycleTable.trivial(g, 4, b)
+        b["w1"] = 0
+        assert t.boundary == {"w1": 2}
+        assert t.boundary is not b
+        assert CocycleTable.trivial(g, 4, {"w1": 2}).inst is t.inst
+
+    def test_out_of_range_boundary_memoizes_nothing(self):
+        g = gamma1()
+        for _ in range(2):
+            with pytest.raises(RangeError):
+                instance(g, 4, {"w1": 5})
+            with pytest.raises(RangeError):
+                CocycleTable.trivial(g, 4, {"w1": 5})
+            with pytest.raises(RangeError):
+                orbits(g, 4, {"w1": 5})
+        assert g._instances == {}
+
+    def test_orbits_returns_a_fresh_list(self):
+        g = theta()
+        first = orbits(g, 2, {})
+        expected = list(first)
+        first.clear()
+        second = orbits(g, 2, {})
+        assert second is not first
+        assert second == expected and len(second) == 4
+
+    def test_graph_is_freed_by_refcounting_alone(self):
+        gc.disable()
+        try:
+            g = dumbbell()
+            ref = weakref.ref(g)
+            for k in (2, 4):
+                t = construct_external_cocycle(g, k, {})
+                assert is_coboundary(t * t.inverse())  # perms, span and orbits
+                cohomology_invariant(t)
+            assert len(g._instances) == 2
+            del g, t
+            assert ref() is None
+        finally:
+            gc.enable()
