@@ -59,15 +59,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if k < 1:
             raise QcgError(f"level must be positive, got {k}")
         status = _dispatch(args, graph, boundary, k, out_lines)
+        text = "\n".join(out_lines) + ("\n" if out_lines else "")
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (QcgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return status
 
 
@@ -102,7 +102,7 @@ def _dispatch(args, graph, boundary, k, out) -> int:
             for lam in orb.stabilizer:
                 if lam == 0:
                     continue
-                ex = ",".join(graph.external_edges(lam)) or "-"
+                ex = ",".join(graph.support_edge_ids(graph.cycle_edges(lam)[0])) or "-"
                 val = external.external_target(graph, k, orb.representative, lam)
                 out.append(
                     f"report orbit {rep} cycle {_cycle_label(graph, lam)} "

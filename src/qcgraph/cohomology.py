@@ -6,8 +6,9 @@ tables are stored on a fixed homology basis and extended to the whole group
 through the twisted product rule
 ``delta_j(l1 + l2) = delta_{l1.j}(l2) * delta_j(l1)``.
 
-Everything here reads the weights, basis, flip permutations and orbits of
-a (graph, level, boundary) from its shared weights.Instance.
+Everything here reads the weights, basis, flip permutations, fixed-edge
+masks, cycle decompositions and orbits of a (graph, level, boundary) from
+its shared weights.Instance.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ class CocycleTable:
 
     # -- full-group evaluation -------------------------------------------
 
-    def decompose(self, cycle: int) -> list[int]:
-        """Express a cycle in the table's basis; ascending index list."""
-        combo = self.inst.span.solve(cycle)
-        if combo is None:
-            raise ValueError(f"cycle {cycle:b} is not in the homology span")
-        return [i for i in range(len(self.basis)) if combo >> i & 1]
+    def decompose(self, cycle: int) -> tuple[int, ...]:
+        """Express a cycle in the table's basis; ascending index tuple."""
+        try:
+            return self.inst.steps[cycle]
+        except KeyError:
+            raise ValueError(f"cycle {cycle:b} is not in the homology span") from None
 
-    def walk(self, wi: int, steps: list[int]) -> tuple[CircleValue, int]:
+    def walk(self, wi: int, steps: tuple[int, ...]) -> tuple[CircleValue, int]:
         """The value at weights[wi] of the cycle with basis decomposition
         steps, and the index its flip sends wi to."""
         inst, table = self.inst, self.table
@@ -96,15 +97,6 @@ class CocycleTable:
             val = val * table[(basis[i], weights[wi])]
             wi = perms[i][wi]
         return val, wi
-
-    def flip_image(self, cycle: int) -> list[int]:
-        """image[wi]: the index the cycle's flip sends weight index wi to."""
-        image = list(range(len(self.weights)))
-        perms = self.inst.perms
-        for i in self.decompose(cycle):
-            p = perms[i]
-            image = [p[wi] for wi in image]
-        return image
 
     def value(self, w: WeightVector, cycle: int) -> CircleValue:
         """delta_w(cycle) via the twisted product rule over the basis."""
@@ -173,8 +165,8 @@ def fixed_pairs(t: CocycleTable) -> Iterator[tuple[int, WeightVector]]:
     for lam in t.inst.cycles:
         if lam == 0:
             continue
-        for wi, (w, image) in enumerate(zip(t.weights, t.flip_image(lam))):
-            if image == wi:
+        for w, fixed in zip(t.weights, t.inst.fixed):
+            if not lam & ~fixed:
                 yield lam, w
 
 
@@ -192,11 +184,10 @@ def cobounding_chain(t: CocycleTable) -> ZeroCochain:
         raise NotACoboundary("cocycle has a nontrivial fixed-pair value")
     c: ZeroCochain = {}
     inst = t.inst
-    steps = [t.decompose(lam) for lam in inst.cycles]
     index, perms = inst.index, inst.perms
     for orb in inst.orbits:
         ri = index[orb.representative]
-        for s in steps:
+        for s in inst.steps.values():
             # the target first: only the first cycle reaching it sets c
             wi = ri
             for i in s:

@@ -18,7 +18,7 @@ from .cohomology import (
 )
 from .errors import NotACocycle, NotFixed, NotGammaN, ParityFailure, ZeroCycle
 from .graph import Graph, recognize_gamma_n
-from .weights import Instance, Orbit, WeightVector, act, instance
+from .weights import Instance, Orbit, WeightVector, fixed_edges, instance
 
 
 def external_target(
@@ -27,9 +27,10 @@ def external_target(
     """exp(pi*i * sum of external-edge weights); always +-1 on fixed pairs."""
     if cycle == 0:
         raise ZeroCycle("external edges are undefined for the zero cycle")
-    if act(cycle, w, k) != w:
+    if cycle & ~fixed_edges(w, k):
         raise NotFixed("weight is not fixed by the cycle")
-    doubled_sum = sum(w[graph.edge_index(eid)] for eid in graph.external_edges(cycle))
+    external, _ = graph.cycle_edges(cycle)
+    doubled_sum = sum(x for i, x in enumerate(w) if external >> i & 1)
     # fixed pairs force integer weights on external edges, so doubled_sum
     # is even and the value lands in {+1, -1}
     return CircleValue.half_integer_exp(doubled_sum)
@@ -48,11 +49,10 @@ def check_parity_identity(graph: Graph, k: int, orbit: Orbit) -> bool:
         for l2 in stab:
             if target(l1, rep) * target(l2, rep) != target(l1 ^ l2, rep):
                 return False
-    for lam in stab:
-        if lam == 0:
-            continue
-        for w in orbit.members:
-            if act(lam, w, k) == w and target(lam, w) != target(lam, rep):
+    for w in orbit.members:
+        fixed = fixed_edges(w, k)
+        for lam in stab:
+            if lam and not lam & ~fixed and target(lam, w) != target(lam, rep):
                 return False
     return True
 
@@ -120,7 +120,7 @@ def _gamma_n_fixed_weight(inst: Instance, gen: int):
     """The only weight the generator can fix, if admissible; else None."""
     if inst.k % 2:
         return None
-    candidates = [w for w in inst.weights if act(gen, w, inst.k) == w]
+    candidates = [w for w, f in zip(inst.weights, inst.fixed) if not gen & ~f]
     if not candidates:
         return None
     if len(candidates) > 1:

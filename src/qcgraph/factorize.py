@@ -38,7 +38,7 @@ from .errors import CapExceeded, NotACocycle, NotGammaN, WeightMismatch
 from .external import construct_external_cocycle, external_characters, external_target
 from .f2 import F2Span
 from .graph import CutResult, Graph, cut_edges, isolate_cycle, recognize_gamma_n
-from .weights import WeightVector, act, enumerate_admissible, instance
+from .weights import WeightVector, act, enumerate_admissible, fixed_edges, instance
 
 Jpp = tuple[int, ...]  # doubled weights on the cut edges, in cut order
 
@@ -115,24 +115,16 @@ def make_decomposition(
     """Cut the given edges and put the components with indices in side1
     (by the cut graph's component order) into part 1."""
     res = cut_edges(graph, cut)
-    return _decomposition(graph, res, res.component_subgraphs(), side1)
+    return _decomposition(graph, res, res.graph.components(), side1)
 
 
 def _decomposition(
-    graph: Graph, res: CutResult, subs: list[Graph], side1: set[int]
+    graph: Graph, res: CutResult, comps: list[set[str]], side1: set[int]
 ) -> Decomposition:
-    part1 = _merge(res.graph, [s for i, s in enumerate(subs) if i in side1])
-    part2 = _merge(res.graph, [s for i, s in enumerate(subs) if i not in side1])
-    return Decomposition(graph, res, part1, part2)
-
-
-def _merge(whole: Graph, subs: list[Graph]) -> Graph:
-    """Union of component subgraphs, keeping the cut graph's edge order."""
-    ids = {eid for s in subs for eid in s.edge_ids}
-    verts = {v for s in subs for v in s.boundary_vertices}
-    edges = tuple(e for e in whole.edges if e[0] in ids)
-    bdry = tuple(v for v in whole.boundary_vertices if v in verts)
-    return Graph(edges, bdry)
+    part1 = set().union(*(c for i, c in enumerate(comps) if i in side1))
+    part2 = set().union(*(c for i, c in enumerate(comps) if i not in side1))
+    carve = res.graph.subgraph
+    return Decomposition(graph, res, carve(part1), carve(part2))
 
 
 def all_decompositions(
@@ -144,14 +136,14 @@ def all_decompositions(
     for r in range(len(cuttable) + 1):
         for cut in combinations(cuttable, r):
             res = cut_edges(graph, cut)
-            subs = res.component_subgraphs()
-            ncomp = len(subs)
+            comps = res.graph.components()
+            ncomp = len(comps)
             total += 1 << ncomp
             if total > cap:
                 raise CapExceeded(f"decomposition enumeration beyond cap {cap}")
             for side_bits in range(1 << ncomp):
                 side1 = {i for i in range(ncomp) if side_bits >> i & 1}
-                yield _decomposition(graph, res, subs, side1)
+                yield _decomposition(graph, res, comps, side1)
 
 
 def jpp_values(k: int, dec: Decomposition) -> Iterator[Jpp]:
@@ -248,11 +240,6 @@ def restriction_plan(
     )
 
 
-def _half_mask(w: WeightVector, k: int) -> int:
-    """Edges at doubled weight k/2: a cycle fixes w iff it lies inside."""
-    return sum(1 << i for i, x in enumerate(w) if 2 * x == k)
-
-
 def _require_cocycle(t: CocycleTable) -> None:
     # restrictions are read through t.value, which extends the basis
     # entries by the twisted product rule; that is only consistent for
@@ -275,15 +262,13 @@ def equivalent_under_factorization(
     """
     _require_cocycle(t1)
     _require_cocycle(t2)
-    k = t1.k
     cycles = [lam for lam in t1.inst.cycles if lam]
     diffs: dict[WeightVector, list[tuple[int, int]]] = {}
-    for w in t1.weights:
-        half = _half_mask(w, k)
+    for w, fixed in zip(t1.weights, t1.inst.fixed):
         here = [
             (lam, d)
             for lam in cycles
-            if not lam & ~half
+            if not lam & ~fixed
             and (d := t1.value(w, lam).as_sign() - t2.value(w, lam).as_sign())
         ]
         if here:
@@ -322,16 +307,16 @@ def _invariant_differs(
     k = t.k
     seen: set[WeightVector] = set()
     for w in ws:
-        half = _half_mask(w, k)
-        if w in seen or not any(mu and not lam & ~half for mu, lam in cycles):
+        fixed = fixed_edges(w, k)
+        if w in seen or not any(mu and not lam & ~fixed for mu, lam in cycles):
             continue  # the stabilizer is the same all along the orbit
         members = {act(lam, w, k) for _, lam in cycles}
         seen |= members
         rep = min(members, key=plan.part1_weight)
         rep1 = plan.part1_weight(rep)
-        half = _half_mask(rep, k)
+        fixed = fixed_edges(rep, k)
         for mu, lam in cycles:
-            if mu and not lam & ~half and t.value(rep, lam) != target(rep1, mu):
+            if mu and not lam & ~fixed and t.value(rep, lam) != target(rep1, mu):
                 return True
     return False
 
@@ -385,10 +370,9 @@ def _piece_witness(
         if lam == 0:
             continue
         with_cycle, _, res = isolate_cycle(graph, lam)
-        all_subs = res.component_subgraphs()
         for piece in with_cycle:
-            others = [s for s in all_subs if set(s.edge_ids) != set(piece.edge_ids)]
-            dec = Decomposition(graph, res, piece, _merge(res.graph, others))
+            rest = set(res.graph.vertices).difference(piece.vertices)
+            dec = Decomposition(graph, res, piece, res.graph.subgraph(rest))
             plan = restriction_plan(dec, t.weights)
             cycles = plan.part1_cycles()
             target = _standard_target(piece)

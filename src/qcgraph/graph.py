@@ -2,8 +2,10 @@
 
 Cycles are plain int bitmasks over the canonical edge index (order of
 appearance in the edge list), which makes the F2 vector space structure just
-xor.  Loops and parallel edges are first-class: a loop contributes 2 to its
-vertex's degree and 2 to the local count of cycle-support endpoints.
+xor.  Other edge sets are bitmasks too: cycle_edges gives the edges external
+and internal to a cycle as one mask each, and support_edge_ids turns a mask
+into edge ids.  Loops and parallel edges are first-class: a loop contributes
+2 to its vertex's degree and 2 to the local count of cycle-support endpoints.
 """
 
 from __future__ import annotations
@@ -130,6 +132,14 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
+    def subgraph(self, vertices: set[str]) -> Graph:
+        """The edges with an endpoint in vertices and the boundary vertices
+        among them, in this graph's order; a union of components carves
+        out exactly those components."""
+        edges = tuple(e for e in self.edges if e[1] in vertices or e[2] in vertices)
+        bdry = tuple(v for v in self.boundary_vertices if v in vertices)
+        return Graph(edges, bdry)
+
     # -- cycle space -----------------------------------------------------
 
     def cycle_basis(self) -> list[int]:
@@ -215,48 +225,32 @@ class Graph:
 
     # -- edge classification ---------------------------------------------
 
+    def cycle_edges(self, cycle: int) -> tuple[int, int]:
+        """(external, internal) edge masks of a nonzero cycle: the edges off
+        its support with one, resp. both, endpoints on a support edge.  A
+        leg is never internal: its univalent end is off every cycle."""
+        if cycle == 0:
+            raise ZeroCycle("edge classification is undefined for the zero cycle")
+        edges = self.edges
+        on = {v for i, (_, a, b) in enumerate(edges) if cycle >> i & 1 for v in (a, b)}
+        external = internal = 0
+        for i, (_, a, b) in enumerate(edges):
+            if not cycle >> i & 1:
+                ends = (a in on) + (b in on)
+                if ends == 2:
+                    internal |= 1 << i
+                elif ends:
+                    external |= 1 << i
+        return external, internal
+
     def classify_edge(self, cycle: int, eid: str) -> str:
-        if cycle == 0:
-            raise ZeroCycle("edge classification is undefined for the zero cycle")
-        return self._classify(cycle, self.edge_index(eid), self._cycle_vertices(cycle))
-
-    def _cycle_vertices(self, cycle: int) -> set[str]:
-        """Vertices with an incident support edge."""
-        return {
-            v
-            for i, (_, a, b) in enumerate(self.edges)
-            if cycle >> i & 1
-            for v in (a, b)
-        }
-
-    def _classify(self, cycle: int, i: int, on: set[str]) -> str:
-        if cycle >> i & 1:
+        external, internal = self.cycle_edges(cycle)
+        bit = 1 << self.edge_index(eid)
+        if cycle & bit:
             return ON_CYCLE
-        _, a, b = self.edges[i]
-        if a in on and b in on:
-            # a leg can never be internal; its univalent endpoint is off the
-            # cycle anyway, so this branch only fires for trivalent endpoints
-            return INTERNAL
-        if a in on or b in on:
+        if external & bit:
             return EXTERNAL
-        return OFF
-
-    def _edges_classified(self, cycle: int, kinds: tuple[str, ...]) -> list[str]:
-        if cycle == 0:
-            raise ZeroCycle("edge classification is undefined for the zero cycle")
-        on = self._cycle_vertices(cycle)
-        return [
-            eid
-            for i, (eid, _, _) in enumerate(self.edges)
-            if self._classify(cycle, i, on) in kinds
-        ]
-
-    def external_edges(self, cycle: int) -> list[str]:
-        return self._edges_classified(cycle, (EXTERNAL,))
-
-    def internal_cut_edges(self, cycle: int) -> list[str]:
-        """Edges classified external or internal for the cycle."""
-        return self._edges_classified(cycle, (EXTERNAL, INTERNAL))
+        return INTERNAL if internal & bit else OFF
 
     def cuttable_edges(self) -> list[str]:
         """Edges with both endpoints trivalent (cuttable in a decomposition)."""
@@ -373,16 +367,7 @@ class CutResult:
         return None
 
     def component_subgraphs(self) -> list[Graph]:
-        out = []
-        for comp in self.graph.components():
-            edges = tuple(
-                e for e in self.graph.edges if e[1] in comp or e[2] in comp
-            )
-            bdry = tuple(
-                v for v in self.graph.boundary_vertices if v in comp
-            )
-            out.append(Graph(edges, bdry))
-        return out
+        return [self.graph.subgraph(comp) for comp in self.graph.components()]
 
 
 def cut_edges(g: Graph, cut: Iterable[str], allow_leaf: bool = False) -> CutResult:
@@ -422,7 +407,8 @@ def isolate_cycle(g: Graph, cycle: int) -> tuple[list[Graph], list[Graph], CutRe
     """
     if cycle == 0:
         raise ZeroCycle("cannot isolate the zero cycle")
-    res = cut_edges(g, g.internal_cut_edges(cycle), allow_leaf=True)
+    external, internal = g.cycle_edges(cycle)
+    res = cut_edges(g, g.support_edge_ids(external | internal), allow_leaf=True)
     support = set(g.support_edge_ids(cycle))
     with_cycle, without = [], []
     for sub in res.component_subgraphs():

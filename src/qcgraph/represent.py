@@ -54,8 +54,8 @@ def character(t: CocycleTable, cycle: int) -> int:
     exact integer."""
     steps = t.decompose(cycle)
     total = 0
-    for wi, image in enumerate(t.flip_image(cycle)):
-        if image == wi:
+    for wi, fixed in enumerate(t.inst.fixed):
+        if not cycle & ~fixed:
             total += t.walk(wi, steps)[0].as_sign()
     return total
 
@@ -63,9 +63,10 @@ def character(t: CocycleTable, cycle: int) -> int:
 def diagonal_intertwiner_ok(
     t1: CocycleTable, t2: CocycleTable, c: ZeroCochain, cycle: int
 ) -> bool:
-    """phi_c . rho(t1)(cycle) == rho(t2)(cycle) . phi_c, entrywise."""
+    """phi_c . rho(t1)(cycle) == rho(t2)(cycle) . phi_c, entrywise, for a
+    basis cycle."""
     weights = t1.weights
-    image = t1.flip_image(cycle)
+    image = t1.inst.perms[t1.basis.index(cycle)]
     for wi, w in enumerate(weights):
         lhs = t1.table[(cycle, w)] * c[weights[image[wi]]]
         rhs = t2.table[(cycle, w)] * c[w]

@@ -3,9 +3,14 @@
 Weights are stored doubled (value = 2*j), so all arithmetic stays integral.
 A WeightVector is a plain tuple of doubled integers in canonical edge order.
 
+A cycle flips the weights on its support, x -> k - x, so it fixes a weight
+exactly when its support lies inside fixed_edges(w, k), the edges at doubled
+weight k/2; that mask is the one fixed-point test.
+
 The state of one (graph, level, boundary) -- its weights, cycles, flip
-permutations and orbits -- lives on one Instance, which instance() builds
-once and memoizes on the graph for every caller to share.
+permutations, fixed-edge masks, cycle decompositions and orbits -- lives on
+one Instance, which instance() builds once and memoizes on the graph for
+every caller to share.
 """
 
 from __future__ import annotations
@@ -164,6 +169,12 @@ def act(cycle: int, w: WeightVector, k: int) -> WeightVector:
     return tuple(k - x if cycle >> i & 1 else x for i, x in enumerate(w))
 
 
+def fixed_edges(w: WeightVector, k: int) -> int:
+    """Edges at doubled weight k/2: a cycle fixes w iff
+    cycle & ~fixed_edges(w, k) == 0."""
+    return sum(1 << i for i, x in enumerate(w) if 2 * x == k)
+
+
 @dataclass(frozen=True)
 class Orbit:
     """An H1-orbit of admissible weights with its stabilizer subgroup."""
@@ -190,9 +201,10 @@ class Instance:
     flip action on them; k and boundary are the instance's own copies.
 
     perms[i][j] is the index of act(basis[i], weights[j], k), and a cycle
-    acts as the composition of its basis elements' permutations.  index,
-    perms, span and orbits are built on first use.  There is no reference
-    back to the graph, so a graph memoizing it is freed by refcounting.
+    acts as the composition of its basis elements' permutations, listed in
+    steps.  fixed[j] is fixed_edges(weights[j], k).  index, perms, fixed,
+    steps and orbits are built on first use.  There is no reference back to
+    the graph, so a graph memoizing it is freed by refcounting.
     """
 
     k: int
@@ -213,8 +225,19 @@ class Instance:
         )
 
     @cached_property
-    def span(self) -> F2Span:
-        return F2Span(self.basis)
+    def fixed(self) -> tuple[int, ...]:
+        k = self.k
+        return tuple(fixed_edges(w, k) for w in self.weights)
+
+    @cached_property
+    def steps(self) -> dict[int, tuple[int, ...]]:
+        """Each cycle's basis decomposition, as ascending basis indices."""
+        span, indices = F2Span(self.basis), range(len(self.basis))
+        out = {}
+        for lam in self.cycles:
+            combo = span.solve(lam)
+            out[lam] = tuple(i for i in indices if combo >> i & 1)
+        return out
 
     @cached_property
     def orbits(self) -> tuple[Orbit, ...]:
@@ -228,7 +251,8 @@ class Instance:
             members = {act(lam, w, k) for lam in cycles}
             seen |= members
             rep = min(members)
-            stab = f2_reduce([lam for lam in cycles if act(lam, rep, k) == rep])
+            fixed = fixed_edges(rep, k)
+            stab = f2_reduce([lam for lam in cycles if not lam & ~fixed])
             out.append(Orbit(rep, frozenset(members), tuple(stab)))
         return tuple(out)
 

@@ -218,6 +218,21 @@ class TestExitCodes:
         )
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("dest", ["missing/out.txt", "."])
+    def test_unwritable_output_is_input_error(
+        self, graph_file, tmp_path, capsys, dest
+    ):
+        # a path in a missing directory, and a path that is a directory
+        path = graph_file(theta())
+        target = tmp_path / dest
+        code, out, err = run_capture(
+            ["enumerate", "--graph", path, "--level", "2", "--output", str(target)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
     def test_bad_level(self, graph_file, capsys):
         path = graph_file(theta())
         code, _, err = run_capture(["enumerate", "--graph", path, "--level", "0"], capsys)

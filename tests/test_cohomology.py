@@ -57,6 +57,19 @@ class TestCocycleIdentity:
             is_twisted_cocycle(t)
 
 
+    def test_decompose_rejects_mask_outside_h1(self):
+        g = theta()
+        t = CocycleTable.trivial(g, 2, {})
+        lam = g.cycle_from_edge_ids(["e1", "e2"])
+        assert [t.basis[i] for i in t.decompose(lam)] == [lam]
+        assert t.decompose(0) == ()
+        for mask in (g.cycle_from_edge_ids(["e1"]), 1 << g.n_edges):
+            with pytest.raises(ValueError, match="not in the homology span"):
+                t.decompose(mask)
+            with pytest.raises(ValueError):
+                t.value(t.weights[0], mask)
+
+
 class TestCoboundaries:
     def test_theta_example_values(self):
         g = theta()

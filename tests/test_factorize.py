@@ -19,7 +19,6 @@ from qcgraph.errors import CapExceeded, NotACocycle, WeightMismatch
 from qcgraph.external import construct_external_cocycle, standard_gamma_n_cocycle
 from qcgraph.factorize import (
     Decomposition,
-    _merge,
     all_decompositions,
     decompose_weights,
     equivalent_under_factorization,
@@ -222,10 +221,9 @@ def oracle_witness(t):
         if lam == 0:
             continue
         with_cycle, _, res = isolate_cycle(graph, lam)
-        all_subs = res.component_subgraphs()
         for piece in with_cycle:
-            others = [s for s in all_subs if set(s.edge_ids) != set(piece.edge_ids)]
-            dec = Decomposition(graph, res, piece, _merge(res.graph, others))
+            rest = set(res.graph.vertices) - set(piece.vertices)
+            dec = Decomposition(graph, res, piece, res.graph.subgraph(rest))
             for jpp, fixed in oracle_contexts(t, dec):
                 b1 = dec.part_boundary(piece, t.boundary, jpp)
                 restricted = restrict_cocycle(t, dec, jpp, fixed)

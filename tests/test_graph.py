@@ -283,3 +283,34 @@ class TestStructureAgainstNetworkx:
                 incident += [data["index"]] * (2 if a == b else 1)
             assert g.incident_edges(v) == tuple(sorted(incident))
         assert set(g.trivalent_vertices) == {v for v, d in G.degree() if d == 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        genus=st.integers(0, 4),
+        legs=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cycle_edge_masks_count_endpoints(self, genus, legs, seed):
+        # an edge off the cycle is external with one endpoint on the cycle
+        # and internal with two (a loop's vertex counts twice)
+        assume(2 * genus - 2 + legs >= 0)
+        g = random_unitrivalent(genus, legs, random.Random(seed))
+        G = nx.MultiGraph()
+        for i, (eid, a, b) in enumerate(g.edges):
+            G.add_edge(a, b, key=eid, index=i)
+        for lam in g.all_cycles():
+            if lam == 0:
+                continue
+            on = {
+                v
+                for v in G.nodes
+                if any(lam >> d["index"] & 1 for _, _, d in G.edges(v, data=True))
+            }
+            by_count = [0, 0, 0]
+            for i, (eid, a, b) in enumerate(g.edges):
+                count = (a in on) + (b in on)
+                if not lam >> i & 1:
+                    by_count[count] |= 1 << i
+                kind = ON_CYCLE if lam >> i & 1 else (OFF, EXTERNAL, INTERNAL)[count]
+                assert g.classify_edge(lam, eid) == kind
+            assert g.cycle_edges(lam) == (by_count[1], by_count[2])

@@ -25,6 +25,7 @@ from qcgraph.weights import (
     check_admissible,
     enumerate_admissible,
     enumerate_admissible_bruteforce,
+    fixed_edges,
     instance,
     orbits,
 )
@@ -199,6 +200,19 @@ class TestOrbits:
                     w[i] == k // 2 for i in range(g.n_edges) if lam >> i & 1
                 )
                 assert fixed == on_support
+
+
+class TestFixedEdges:
+    @pytest.mark.parametrize(
+        "name,g,k,b", list(suite_instances()),
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_mask_test_matches_act(self, name, g, k, b):
+        inst = instance(g, k, b)
+        assert inst.fixed == tuple(fixed_edges(w, k) for w in inst.weights)
+        for w, fixed in zip(inst.weights, inst.fixed):
+            for lam in inst.cycles:
+                assert (lam & ~fixed == 0) == (act(lam, w, k) == w)
 
 
 class TestInstance:
