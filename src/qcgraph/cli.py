@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from . import cohomology, external, factorize, represent, weights
 from .errors import NotACocycle, QcgError
-from .graph import parse_graph
+from .graph import cut_edges, parse_graph
 
 SUBCOMMANDS = (
     "enumerate",
@@ -137,8 +137,7 @@ def _dispatch(args, graph, boundary, k, out) -> int:
         return 0 if ok else 1
     if cmd == "cut":
         edges = [e for e in args.edges.split(",") if e]
-        dec = factorize.make_decomposition(graph, set(edges), side1=set())
-        res = dec.cut_result
+        res = cut_edges(graph, set(edges))
         for eid, (w1, w2) in sorted(res.pairing.items()):
             out.append(f"pair {eid} {w1} {w2}")
         for i, sub in enumerate(res.component_subgraphs()):

@@ -7,23 +7,18 @@ union over the cut-edge weights j'' of products of the parts' weight sets,
 and cocycles restrict to the first part once a complementary weight on the
 second part is fixed.
 
-The verbs read every restriction straight from the parent table.  One
-RestrictionPlan per decomposition groups the parent's admissible weights by
-(j'', part-2 weight) in a single pass, which yields every restriction
-context whose part-1 weight set is non-empty; a context with an empty
-part-1 set restricts to an empty table, which every comparison accepts, so
-it is skipped.  The part-1 cycles are transported to the parent once per
-decomposition.  For a twisted cocycle t, the restriction's value at a
+The verbs read every restriction from the parent table, in the parent's
+edge coordinates: for a twisted cocycle t, the restriction's value at a
 part-1 weight and cycle is t.value at the glued parent weight and the
-transported cycle, so restricted characters and invariants are sums and
-lookups over the parent weights of one context.  restrict_cocycle and
-decompose_weights build the restricted objects explicitly; they are the
-test oracle for this path.
+transported cycle.  Part graphs are carved only for the target of
+verify_functoriality, and in restrict_cocycle and decompose_weights, which
+build the restricted objects explicitly as the test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -45,16 +40,49 @@ Jpp = tuple[int, ...]  # doubled weights on the cut edges, in cut order
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A cut of the graph with its components grouped into two parts."""
+    """A cut of the graph with its components grouped into two parts, read
+    in the parent's edge coordinates.
+
+    side1 holds the cut graph's part-1 vertices, a union of components.
+    coords holds, per part, the parent edge index of each of its edges in
+    cut-graph order; a leg reads its cut edge.  inside masks the parent
+    edges of part 1's uncut edges.  The part graphs part1 and part2 are
+    carved on first use.
+    """
 
     graph: Graph
     cut_result: CutResult
-    part1: Graph
-    part2: Graph
+    side1: frozenset[str]
+    coords: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    inside: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index, origin = self.graph.edge_index, self.cut_result.origin
+        coords: tuple[list[int], list[int]] = ([], [])
+        inside = 0
+        for eid, a, _ in self.cut_result.graph.edges:
+            cut = origin(eid)
+            j = index(eid if cut is None else cut)
+            coords[a not in self.side1].append(j)
+            if a in self.side1 and cut is None:
+                inside |= 1 << j
+        object.__setattr__(self, "coords", (tuple(coords[0]), tuple(coords[1])))
+        object.__setattr__(self, "inside", inside)
 
     @property
     def cut(self) -> tuple[str, ...]:
         return self.cut_result.cut
+
+    @cached_property
+    def part1(self) -> Graph:
+        return self.cut_result.graph.subgraph(self.side1)
+
+    @cached_property
+    def part2(self) -> Graph:
+        cut_graph = self.cut_result.graph
+        return cut_graph.subgraph(set(cut_graph.vertices) - self.side1)
 
     def part_boundary(
         self, part: Graph, boundary: dict[str, int], jpp: Jpp
@@ -73,40 +101,36 @@ class Decomposition:
                 raise WeightMismatch(f"no weight for boundary vertex {v!r}")
         return out
 
-    def coordinates(self, part: Graph) -> tuple[int, ...]:
-        """Parent edge index of every edge of the part; a leg maps to the
-        cut edge it came from."""
-        out = []
-        for eid in part.edge_ids:
-            origin = self.cut_result.origin(eid)
-            out.append(self.graph.edge_index(eid if origin is None else origin))
-        return tuple(out)
+    def part1_weight(self, w: WeightVector) -> WeightVector:
+        """A parent weight in part-1 coordinates."""
+        return tuple(w[j] for j in self.coords[0])
 
-    def to_original_cycle(self, part: Graph, mask: int) -> int:
-        """Transport a cycle of a part to the original graph (the inclusion
+    def part1_cycle(self, lam: int) -> int:
+        """A parent cycle inside `inside` as a cycle of part 1."""
+        return sum(1 << i for i, j in enumerate(self.coords[0]) if lam >> j & 1)
+
+    def to_original_cycle(self, mu: int) -> int:
+        """Transport a cycle of part 1 to the original graph (the inclusion
         on homology)."""
-        out = 0
-        for i, (eid, _, _) in enumerate(part.edges):
-            if mask >> i & 1:
-                if self.cut_result.origin(eid) is not None:
-                    raise ValueError("a leg cannot lie on a cycle")
-                out |= 1 << self.graph.edge_index(eid)
-        return out
+        lam = 0
+        for i, j in enumerate(self.coords[0]):
+            lam |= (mu >> i & 1) << j
+        if lam & ~self.inside:
+            raise ValueError("a leg cannot lie on a cycle")
+        return lam
 
     def glue_weights(self, w1: WeightVector, w2: WeightVector, jpp: Jpp) -> WeightVector:
         """Recombine part weights into a weight of the original graph."""
-        jpp_of = dict(zip(self.cut, jpp))
-        values: dict[str, int] = dict(jpp_of)
-        for part, w in ((self.part1, w1), (self.part2, w2)):
-            for i, (eid, _, _) in enumerate(part.edges):
-                origin = self.cut_result.origin(eid)
-                if origin is None:
-                    values[eid] = w[i]
-                elif w[i] != jpp_of[origin]:
-                    raise WeightMismatch(
-                        f"leg {eid!r} carries {w[i]}, expected {jpp_of[origin]}"
-                    )
-        return tuple(values[eid] for eid in self.graph.edge_ids)
+        at_cut = dict(zip((self.graph.edge_index(f) for f in self.cut), jpp))
+        values = dict(at_cut)
+        for coords, w in zip(self.coords, (w1, w2)):
+            for j, x in zip(coords, w):
+                if j not in at_cut:
+                    values[j] = x
+                elif x != at_cut[j]:
+                    leg = f"a leg of {self.graph.edges[j][0]!r}"
+                    raise WeightMismatch(f"{leg} carries {x}, expected {at_cut[j]}")
+        return tuple(values[j] for j in range(self.graph.n_edges))
 
 
 def make_decomposition(
@@ -115,16 +139,8 @@ def make_decomposition(
     """Cut the given edges and put the components with indices in side1
     (by the cut graph's component order) into part 1."""
     res = cut_edges(graph, cut)
-    return _decomposition(graph, res, res.graph.components(), side1)
-
-
-def _decomposition(
-    graph: Graph, res: CutResult, comps: list[set[str]], side1: set[int]
-) -> Decomposition:
-    part1 = set().union(*(c for i, c in enumerate(comps) if i in side1))
-    part2 = set().union(*(c for i, c in enumerate(comps) if i not in side1))
-    carve = res.graph.subgraph
-    return Decomposition(graph, res, carve(part1), carve(part2))
+    parts = [c for i, c in enumerate(res.graph.components()) if i in side1]
+    return Decomposition(graph, res, frozenset().union(*parts))
 
 
 def all_decompositions(
@@ -142,8 +158,8 @@ def all_decompositions(
             if total > cap:
                 raise CapExceeded(f"decomposition enumeration beyond cap {cap}")
             for side_bits in range(1 << ncomp):
-                side1 = {i for i in range(ncomp) if side_bits >> i & 1}
-                yield _decomposition(graph, res, comps, side1)
+                parts = [c for i, c in enumerate(comps) if side_bits >> i & 1]
+                yield Decomposition(graph, res, frozenset().union(*parts))
 
 
 def jpp_values(k: int, dec: Decomposition) -> Iterator[Jpp]:
@@ -177,67 +193,32 @@ def restrict_cocycle(
     inst = instance(part1, t.k, dec.part_boundary(part1, t.boundary, jpp))
     table = {}
     for b in inst.basis:
-        lam = dec.to_original_cycle(part1, b)
+        lam = dec.to_original_cycle(b)
         for w in inst.weights:
             glued = dec.glue_weights(w, fixed, jpp)
             table[(b, w)] = t.value(glued, lam)
     return CocycleTable(part1, inst, table)
 
 
-@dataclass(frozen=True)
-class RestrictionPlan:
-    """A decomposition read in the coordinates of the parent's weights.
-
-    contexts maps each restriction context (j'', fixed part-2 weight) whose
-    part-1 set is non-empty to its glued parent weights, keys ascending:
-    the order of jpp_values followed by enumerate_admissible on part 2.
-    coords1 holds the parent edge index of every part-1 edge (a leg reads
-    its cut edge), so a parent weight projects to part-1 coordinates.
-    inside masks the parent edges of part 1's uncut edges: the part-1
-    cycles transport onto exactly the parent cycles inside it.
-    """
-
-    dec: Decomposition
-    contexts: dict[tuple[Jpp, WeightVector], list[WeightVector]]
-    coords1: tuple[int, ...]
-    inside: int
-
-    def part1_weight(self, w: WeightVector) -> WeightVector:
-        return tuple(w[i] for i in self.coords1)
-
-    def part1_cycles(self) -> list[tuple[int, int]]:
-        """(part-1 cycle, its transport to the parent) for all of H1 of
-        part 1, ascending."""
-        part1 = self.dec.part1
-        return [
-            (mu, self.dec.to_original_cycle(part1, mu)) for mu in part1.all_cycles()
-        ]
-
-
 def restriction_plan(
     dec: Decomposition, weights: Iterable[WeightVector]
-) -> RestrictionPlan:
+) -> dict[tuple[Jpp, WeightVector], list[WeightVector]]:
     """Group parent weights by restriction context in one pass.
 
-    The parent weights are the disjoint union over j'' of products of the
-    parts' weight sets, so a weight's cut-edge values and part-2
-    projection name its context and its part-1 projection is its weight
-    there.
+    Maps each restriction context (j'', fixed part-2 weight) whose part-1
+    set is non-empty to its parent weights, keys ascending: the order of
+    jpp_values followed by enumerate_admissible on part 2.  The parent
+    weights are the disjoint union over j'' of products of the parts'
+    weight sets, so a weight's cut-edge values and part-2 projection name
+    its context, and its part-1 projection is its weight there.
     """
-    graph = dec.graph
-    cut = tuple(graph.edge_index(eid) for eid in dec.cut)
-    coords2 = dec.coordinates(dec.part2)
+    cut = tuple(dec.graph.edge_index(eid) for eid in dec.cut)
+    coords2 = dec.coords[1]
     contexts: dict[tuple[Jpp, WeightVector], list[WeightVector]] = {}
     for w in weights:
         key = (tuple(w[i] for i in cut), tuple(w[i] for i in coords2))
         contexts.setdefault(key, []).append(w)
-    inside = 0
-    for eid in dec.part1.edge_ids:
-        if dec.cut_result.origin(eid) is None:
-            inside |= 1 << graph.edge_index(eid)
-    return RestrictionPlan(
-        dec, dict(sorted(contexts.items())), dec.coordinates(dec.part1), inside
-    )
+    return dict(sorted(contexts.items()))
 
 
 def _require_cocycle(t: CocycleTable) -> None:
@@ -274,14 +255,13 @@ def equivalent_under_factorization(
         if here:
             diffs[w] = here
     for dec in all_decompositions(t1.graph, cap):
-        if dec.part1.n_edges == 0 or not diffs:
+        if not dec.coords[0] or not diffs:
             continue
-        plan = restriction_plan(dec, diffs)
-        for ws in plan.contexts.values():
+        for ws in restriction_plan(dec, diffs).values():
             character_gap: dict[int, int] = {}
             for w in ws:
                 for lam, d in diffs[w]:
-                    if not lam & ~plan.inside:
+                    if not lam & ~dec.inside:
                         character_gap[lam] = character_gap.get(lam, 0) + d
             if any(character_gap.values()):
                 return False
@@ -290,33 +270,34 @@ def equivalent_under_factorization(
 
 def _invariant_differs(
     t: CocycleTable,
-    plan: RestrictionPlan,
-    cycles: list[tuple[int, int]],
+    dec: Decomposition,
+    cycles: list[int],
     ws: list[WeightVector],
     target: Callable[[WeightVector, int], CircleValue],
 ) -> bool:
     """Whether the restricted invariant on one context differs from target.
 
-    Per part-1 orbit, the invariant holds the orbit's least member in
-    part-1 coordinates and the values t.value(W, lam) on its stabilizer.
-    target(rep, mu) gives the expected value at that representative and a
-    nonzero part-1 stabilizer cycle mu.  Orbits with a trivial stabilizer
-    carry only the value 1 at the zero cycle and always agree.  cycles is
-    plan.part1_cycles().
+    cycles are the parent cycles inside dec.inside, i.e. the part-1 cycles
+    transported.  Per part-1 orbit, the invariant holds the orbit's least
+    member in part-1 coordinates and the values t.value(W, lam) on its
+    stabilizer.  target(rep1, lam) gives the expected value at that
+    representative and a nonzero stabilizer cycle lam.  Orbits with a
+    trivial stabilizer carry only the value 1 at the zero cycle and always
+    agree.
     """
     k = t.k
     seen: set[WeightVector] = set()
     for w in ws:
         fixed = fixed_edges(w, k)
-        if w in seen or not any(mu and not lam & ~fixed for mu, lam in cycles):
+        if w in seen or not any(lam and not lam & ~fixed for lam in cycles):
             continue  # the stabilizer is the same all along the orbit
-        members = {act(lam, w, k) for _, lam in cycles}
+        members = {act(lam, w, k) for lam in cycles}
         seen |= members
-        rep = min(members, key=plan.part1_weight)
-        rep1 = plan.part1_weight(rep)
+        rep = min(members, key=dec.part1_weight)
+        rep1 = dec.part1_weight(rep)
         fixed = fixed_edges(rep, k)
-        for mu, lam in cycles:
-            if mu and not lam & ~fixed and t.value(rep, lam) != target(rep1, mu):
+        for lam in cycles:
+            if lam and not lam & ~fixed and t.value(rep, lam) != target(rep1, lam):
                 return True
     return False
 
@@ -332,16 +313,15 @@ def verify_functoriality(
     """
     ext = construct_external_cocycle(graph, k, boundary)
     for dec in all_decompositions(graph, cap):
-        if dec.part1.n_edges == 0:
+        if not dec.coords[0]:
             continue
 
-        def target(rep1, mu, part1=dec.part1):
-            return external_target(part1, k, rep1, mu)
+        def target(rep1, lam, dec=dec):
+            return external_target(dec.part1, k, rep1, dec.part1_cycle(lam))
 
-        plan = restriction_plan(dec, ext.weights)
-        cycles = plan.part1_cycles()
-        for ws in plan.contexts.values():
-            if _invariant_differs(ext, plan, cycles, ws, target):
+        cycles = [lam for lam in ext.inst.cycles if not lam & ~dec.inside]
+        for ws in restriction_plan(dec, ext.weights).values():
+            if _invariant_differs(ext, dec, cycles, ws, target):
                 return False
     return True
 
@@ -371,16 +351,14 @@ def _piece_witness(
             continue
         with_cycle, _, res = isolate_cycle(graph, lam)
         for piece in with_cycle:
-            rest = set(res.graph.vertices).difference(piece.vertices)
-            dec = Decomposition(graph, res, piece, res.graph.subgraph(rest))
-            plan = restriction_plan(dec, t.weights)
-            cycles = plan.part1_cycles()
+            dec = Decomposition(graph, res, frozenset(piece.vertices))
+            cycles = [mu for mu in t.inst.cycles if not mu & ~dec.inside]
             target = _standard_target(piece)
-            for (jpp, fixed), ws in plan.contexts.items():
+            for (jpp, fixed), ws in restriction_plan(dec, t.weights).items():
                 count += 1
                 if count > cap:
                     raise CapExceeded(f"piece enumeration beyond cap {cap}")
-                if _invariant_differs(t, plan, cycles, ws, target):
+                if _invariant_differs(t, dec, cycles, ws, target):
                     return lam, jpp, fixed
     return None
 
@@ -393,7 +371,7 @@ def _standard_target(piece: Graph):
         raise NotGammaN("isolated piece is not connected with Betti number 1")
     legs = [piece.incident_edges(v)[0] for v in piece.boundary_vertices]
 
-    def target(rep1, mu):
+    def target(rep1, lam):
         return CircleValue.half_integer_exp(sum(rep1[i] for i in legs))
 
     return target

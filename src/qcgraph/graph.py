@@ -24,11 +24,6 @@ from .errors import (
 
 Edge = tuple[str, str, str]  # (edge-id, endpoint-a, endpoint-b)
 
-ON_CYCLE = "on-cycle"
-EXTERNAL = "external"
-INTERNAL = "internal"
-OFF = "off"
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -36,7 +31,8 @@ class Graph:
 
     The vertex list, the incidence map and the trivalent vertices are built
     once in __post_init__; the cycle basis is computed on first use.
-    _instances memoizes the weights.Instance of each (level, boundary).
+    _instances memoizes the weights.Instance of each (level, boundary), and
+    _cycle_edges the cycle_edges masks of each cycle.
     """
 
     edges: tuple[Edge, ...]
@@ -51,6 +47,9 @@ class Graph:
         init=False, repr=False, compare=False, default=None
     )
     _instances: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _cycle_edges: dict[int, tuple[int, int]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -199,14 +198,6 @@ class Graph:
             v = p
         return out
 
-    def is_cycle(self, mask: int) -> bool:
-        """Even number of support endpoints at every vertex."""
-        for v in self.vertices:
-            cnt = sum(1 for i in self.incident_edges(v) if mask >> i & 1)
-            if cnt % 2:
-                return False
-        return True
-
     def all_cycles(self) -> list[int]:
         """All 2^g elements of H1, sorted ascending as bitmasks."""
         elems = {0}
@@ -217,12 +208,6 @@ class Graph:
     def support_edge_ids(self, mask: int) -> list[str]:
         return [eid for i, (eid, _, _) in enumerate(self.edges) if mask >> i & 1]
 
-    def cycle_from_edge_ids(self, ids: Iterable[str]) -> int:
-        mask = 0
-        for eid in ids:
-            mask |= 1 << self.edge_index(eid)
-        return mask
-
     # -- edge classification ---------------------------------------------
 
     def cycle_edges(self, cycle: int) -> tuple[int, int]:
@@ -231,6 +216,8 @@ class Graph:
         leg is never internal: its univalent end is off every cycle."""
         if cycle == 0:
             raise ZeroCycle("edge classification is undefined for the zero cycle")
+        if cycle in self._cycle_edges:
+            return self._cycle_edges[cycle]
         edges = self.edges
         on = {v for i, (_, a, b) in enumerate(edges) if cycle >> i & 1 for v in (a, b)}
         external = internal = 0
@@ -241,16 +228,8 @@ class Graph:
                     internal |= 1 << i
                 elif ends:
                     external |= 1 << i
+        self._cycle_edges[cycle] = external, internal
         return external, internal
-
-    def classify_edge(self, cycle: int, eid: str) -> str:
-        external, internal = self.cycle_edges(cycle)
-        bit = 1 << self.edge_index(eid)
-        if cycle & bit:
-            return ON_CYCLE
-        if external & bit:
-            return EXTERNAL
-        return INTERNAL if internal & bit else OFF
 
     def cuttable_edges(self) -> list[str]:
         """Edges with both endpoints trivalent (cuttable in a decomposition)."""
@@ -331,14 +310,6 @@ def parse_graph(text: str) -> tuple[Graph, dict[str, int]]:
         else:
             raise ValueError(f"bad graph line: {raw!r}")
     return validate_graph(edges, boundary), weights
-
-
-def format_graph(g: Graph, boundary_weights: dict[str, int]) -> str:
-    lines = [f"edge {eid} {a} {b}" for eid, a, b in g.edges]
-    lines += [
-        f"boundary {v} {boundary_weights.get(v, 0)}" for v in g.boundary_vertices
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # -- cutting --------------------------------------------------------------
@@ -426,34 +397,3 @@ def recognize_gamma_n(g: Graph) -> Optional[tuple[int, int]]:
     basis = g.cycle_basis()
     return len(g.boundary_vertices), basis[0]
 
-
-def glue(cut_result: CutResult) -> Graph:
-    """Reglue a cut graph along its pairing, restoring the original edges."""
-    g = cut_result.graph
-    edges: list[Edge] = []
-    restored: dict[str, list[str]] = {}
-    drop_boundary = set()
-    for eid, a, b in g.edges:
-        base = cut_result.origin(eid)
-        if base is not None:
-            # the non-fresh endpoint of each half is the original endpoint
-            w1, w2 = cut_result.pairing[base]
-            keep = a if b in (w1, w2) else b
-            restored.setdefault(base, []).append(keep)
-            drop_boundary.update((w1, w2))
-        else:
-            edges.append((eid, a, b))
-    for base, ends in restored.items():
-        edges.append((base, ends[0], ends[1]))
-    boundary = tuple(v for v in g.boundary_vertices if v not in drop_boundary)
-    return Graph(tuple(edges), boundary)
-
-
-def canonical_form(g: Graph) -> tuple:
-    """Relabeling-invariant form used to compare cut/glue round-trips."""
-    order = {v: i for i, v in enumerate(sorted(g.vertices))}
-    edges = sorted(
-        (eid, tuple(sorted((order[a], order[b]))))
-        for eid, a, b in g.edges
-    )
-    return tuple(edges), tuple(sorted(order[v] for v in g.boundary_vertices))

@@ -1,10 +1,12 @@
-"""Shared graph constructions for the test suite."""
+"""Shared graph constructions and graph helpers for the test suite."""
 
 from __future__ import annotations
 
 import random
 
-from qcgraph.graph import Graph, validate_graph
+from typing import Iterable
+
+from qcgraph.graph import CutResult, Edge, Graph, validate_graph
 
 
 def tree3() -> Graph:
@@ -133,3 +135,63 @@ def suite_instances(levels=range(1, 7)):
         g = make()
         for k in levels:
             yield name, g, k, zero_boundary(g)
+
+
+# -- helpers over a Graph -------------------------------------------------
+
+
+def is_cycle(g: Graph, mask: int) -> bool:
+    """Even number of support endpoints at every vertex."""
+    for v in g.vertices:
+        cnt = sum(1 for i in g.incident_edges(v) if mask >> i & 1)
+        if cnt % 2:
+            return False
+    return True
+
+
+def cycle_from_edge_ids(g: Graph, ids: Iterable[str]) -> int:
+    mask = 0
+    for eid in ids:
+        mask |= 1 << g.edge_index(eid)
+    return mask
+
+
+def format_graph(g: Graph, boundary_weights: dict[str, int]) -> str:
+    """The graph in the line-oriented text format that parse_graph reads."""
+    lines = [f"edge {eid} {a} {b}" for eid, a, b in g.edges]
+    lines += [
+        f"boundary {v} {boundary_weights.get(v, 0)}" for v in g.boundary_vertices
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def glue(cut_result: CutResult) -> Graph:
+    """Reglue a cut graph along its pairing, restoring the original edges."""
+    g = cut_result.graph
+    edges: list[Edge] = []
+    restored: dict[str, list[str]] = {}
+    drop_boundary = set()
+    for eid, a, b in g.edges:
+        base = cut_result.origin(eid)
+        if base is not None:
+            # the non-fresh endpoint of each half is the original endpoint
+            w1, w2 = cut_result.pairing[base]
+            keep = a if b in (w1, w2) else b
+            restored.setdefault(base, []).append(keep)
+            drop_boundary.update((w1, w2))
+        else:
+            edges.append((eid, a, b))
+    for base, ends in restored.items():
+        edges.append((base, ends[0], ends[1]))
+    boundary = tuple(v for v in g.boundary_vertices if v not in drop_boundary)
+    return Graph(tuple(edges), boundary)
+
+
+def canonical_form(g: Graph) -> tuple:
+    """Relabeling-invariant form used to compare cut/glue round-trips."""
+    order = {v: i for i, v in enumerate(sorted(g.vertices))}
+    edges = sorted(
+        (eid, tuple(sorted((order[a], order[b]))))
+        for eid, a, b in g.edges
+    )
+    return tuple(edges), tuple(sorted(order[v] for v in g.boundary_vertices))

@@ -45,6 +45,7 @@ from qcgraph.weights import act, check_admissible, enumerate_admissible, orbits
 from suitegraphs import (
     GAMMA_N,
     SUITE,
+    cycle_from_edge_ids,
     dumbbell,
     suite_instances,
     theta,
@@ -240,7 +241,7 @@ def test_criterion_08_standard_cocycle():
                     ok = False
     g1 = SUITE["gamma1"]()
     std = standard_gamma_n_cocycle(g1, 4, {"w1": 2})
-    lam = g1.cycle_from_edge_ids(["f2"])
+    lam = cycle_from_edge_ids(g1, ["f2"])
     ok = ok and std.value((2, 2), lam) == MINUS_ONE
     report(ok, "criterion 8: standard circuit cocycle is the external class")
 
@@ -262,7 +263,7 @@ def test_criterion_09_functoriality_and_characterization():
     # a single flipped fixed-pair sign must be caught with a witness
     g = dumbbell()
     t = construct_external_cocycle(g, 4, {})
-    a = g.cycle_from_edge_ids(["a"])
+    a = cycle_from_edge_ids(g, ["a"])
     bad = dict(t.table)
     bad[(a, (2, 2, 2))] = bad[(a, (2, 2, 2))] * MINUS_ONE
     mutated = CocycleTable(g, t.inst, bad)

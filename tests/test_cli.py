@@ -5,8 +5,7 @@ import hashlib
 import pytest
 
 from qcgraph.cli import run
-from qcgraph.graph import format_graph
-from suitegraphs import dumbbell, gamma1, theta
+from suitegraphs import dumbbell, format_graph, gamma1, theta
 
 THETA_ENUMERATE = """\
 0\t0\t0

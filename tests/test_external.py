@@ -19,6 +19,7 @@ from qcgraph.external import (
 )
 from qcgraph.weights import enumerate_admissible, orbits
 from suitegraphs import (
+    cycle_from_edge_ids,
     dumbbell,
     gamma1,
     gamma2,
@@ -34,24 +35,24 @@ class TestTarget:
         # every edge of theta meets the cycle's vertices, so the product is
         # empty and the target is 1
         g = theta()
-        lam = g.cycle_from_edge_ids(["e1", "e2"])
+        lam = cycle_from_edge_ids(g, ["e1", "e2"])
         assert external_target(g, 2, (1, 1, 0), lam) == ONE
 
     def test_dumbbell_bridge(self):
         g = dumbbell()
-        a = g.cycle_from_edge_ids(["a"])
+        a = cycle_from_edge_ids(g, ["a"])
         assert external_target(g, 4, (2, 2, 2), a) == MINUS_ONE
         assert external_target(g, 4, (2, 2, 0), a) == ONE
 
     def test_gamma1_leg(self):
         g = gamma1()
-        lam = g.cycle_from_edge_ids(["f2"])
+        lam = cycle_from_edge_ids(g, ["f2"])
         assert external_target(g, 4, (2, 2), lam) == MINUS_ONE
 
     def test_not_fixed(self):
         g = gamma1()
         with pytest.raises(NotFixed):
-            external_target(g, 4, (2, 1), g.cycle_from_edge_ids(["f2"]))
+            external_target(g, 4, (2, 1), cycle_from_edge_ids(g, ["f2"]))
 
     def test_zero_cycle(self):
         with pytest.raises(ZeroCycle):
@@ -99,8 +100,8 @@ class TestConstruction:
     def test_dumbbell_values(self):
         g = dumbbell()
         t = construct_external_cocycle(g, 4, {})
-        a = g.cycle_from_edge_ids(["a"])
-        b = g.cycle_from_edge_ids(["b"])
+        a = cycle_from_edge_ids(g, ["a"])
+        b = cycle_from_edge_ids(g, ["b"])
         assert t.value((2, 2, 2), a) == MINUS_ONE
         assert t.value((2, 2, 2), b) == MINUS_ONE
         assert not is_coboundary(t)
@@ -130,7 +131,7 @@ class TestStandardGammaN:
     def test_gamma1_value(self):
         g = gamma1()
         t = standard_gamma_n_cocycle(g, 4, {"w1": 2})
-        lam = g.cycle_from_edge_ids(["f2"])
+        lam = cycle_from_edge_ids(g, ["f2"])
         assert t.value((2, 2), lam) == MINUS_ONE
         assert satisfies_external_condition(t)
 

@@ -30,10 +30,11 @@ from qcgraph.factorize import (
     verify_characterization,
     verify_functoriality,
 )
-from qcgraph.graph import isolate_cycle
+from qcgraph.graph import Graph, isolate_cycle
 from qcgraph.represent import character, reps_isomorphic
 from qcgraph.weights import act, enumerate_admissible
 from suitegraphs import (
+    SUITE,
     dumbbell,
     gamma1,
     gamma2,
@@ -85,6 +86,57 @@ class TestDecomposeWeights:
         bad = next(w for w in decompose_weights(g, 4, {}, dec)[(0,)][1])
         with pytest.raises(WeightMismatch):
             dec.glue_weights(w1s[0], bad, (2,))
+
+
+def leg_coordinates(dec, part):
+    """Parent edge index of every edge of a carved part; a leg maps to the
+    cut edge it came from."""
+    out = []
+    for eid in part.edge_ids:
+        origin = dec.cut_result.origin(eid)
+        out.append(dec.graph.edge_index(eid if origin is None else origin))
+    return tuple(out)
+
+
+def coordinate_cases(g):
+    """Every decomposition of g if it has at most 3 cuttable edges, and
+    every isolated piece of g as part 1."""
+    if len(g.cuttable_edges()) <= 3:
+        yield from all_decompositions(g)
+    for lam in g.all_cycles():
+        if lam:
+            with_cycle, _, res = isolate_cycle(g, lam)
+            for piece in with_cycle:
+                dec = Decomposition(g, res, frozenset(piece.vertices))
+                assert dec.part1 == piece
+                yield dec
+
+
+class TestDecompositionCoordinates:
+    """The parent-coordinate view of a decomposition against its carved
+    parts."""
+
+    @pytest.mark.parametrize("name", list(SUITE))
+    def test_coordinates_match_carved_parts(self, name):
+        g = SUITE[name]()
+        b = {v: 2 for v in g.boundary_vertices}
+        for dec in coordinate_cases(g):
+            part1, part2 = dec.part1, dec.part2
+            assert dec.coords == (
+                leg_coordinates(dec, part1),
+                leg_coordinates(dec, part2),
+            )
+            inside = 0
+            for eid in part1.edge_ids:
+                if dec.cut_result.origin(eid) is None:
+                    inside |= 1 << g.edge_index(eid)
+            assert dec.inside == inside
+            for mu in part1.all_cycles():
+                assert dec.part1_cycle(dec.to_original_cycle(mu)) == mu
+            for jpp, (ws1, ws2) in decompose_weights(g, 2, b, dec).items():
+                for w1 in ws1:
+                    for w2 in ws2:
+                        assert dec.part1_weight(dec.glue_weights(w1, w2, jpp)) == w1
 
 
 class TestRestriction:
@@ -146,6 +198,24 @@ class TestEquivalence:
         t = CocycleTable.trivial(g, 2, {})
         with pytest.raises(CapExceeded):
             equivalent_under_factorization(t, t, cap=2)
+
+    def test_carves_no_part_graph(self, monkeypatch):
+        # the verb reads every decomposition in the parent's coordinates
+        same = theta()
+        t = construct_external_cocycle(same, 2, {})
+        c = {w: MINUS_ONE if sum(w) % 4 else ONE
+             for w in enumerate_admissible(same, 2, {})}
+        t_cob = t * coboundary_of(same, 2, {}, c)
+        g = dumbbell()
+        ext = construct_external_cocycle(g, 4, {})
+        trivial = CocycleTable.trivial(g, 4, {})
+
+        def refuse(self, vertices):
+            raise AssertionError("a part graph was carved")
+
+        monkeypatch.setattr(Graph, "subgraph", refuse)
+        assert equivalent_under_factorization(t, t_cob)
+        assert not equivalent_under_factorization(ext, trivial)
 
 
 class TestFunctoriality:
@@ -222,8 +292,7 @@ def oracle_witness(t):
             continue
         with_cycle, _, res = isolate_cycle(graph, lam)
         for piece in with_cycle:
-            rest = set(res.graph.vertices) - set(piece.vertices)
-            dec = Decomposition(graph, res, piece, res.graph.subgraph(rest))
+            dec = Decomposition(graph, res, frozenset(piece.vertices))
             for jpp, fixed in oracle_contexts(t, dec):
                 b1 = dec.part_boundary(piece, t.boundary, jpp)
                 restricted = restrict_cocycle(t, dec, jpp, fixed)
@@ -296,7 +365,7 @@ class TestPlanAgainstOracle:
         for dec in all_decompositions(g, cap=200_000):
             if dec.part1.n_edges == 0:
                 continue
-            plan = restriction_plan(dec, t.weights)
+            contexts = restriction_plan(dec, t.weights)
             expected = {}
             for jpp, (ws1, ws2) in decompose_weights(g, k, b, dec).items():
                 for fixed in ws2:
@@ -304,12 +373,14 @@ class TestPlanAgainstOracle:
                         expected[(jpp, fixed)] = sorted(
                             dec.glue_weights(w1, fixed, jpp) for w1 in ws1
                         )
-            assert list(plan.contexts) == sorted(expected)
-            cycles = plan.part1_cycles()
+            assert list(contexts) == sorted(expected)
+            cycles = [
+                (mu, dec.to_original_cycle(mu)) for mu in dec.part1.all_cycles()
+            ]
             assert {lam for _, lam in cycles} == {
-                lam for lam in g.all_cycles() if not lam & ~plan.inside
+                lam for lam in g.all_cycles() if not lam & ~dec.inside
             }
-            for key, ws in plan.contexts.items():
+            for key, ws in contexts.items():
                 assert sorted(ws) == expected[key]
                 r = restrict_cocycle(t, dec, *key)
                 for mu, lam in cycles:

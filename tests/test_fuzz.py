@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from qcgraph.cli import SUBCOMMANDS, run
 from qcgraph.errors import QcgError
-from qcgraph.graph import format_graph, parse_graph
-from suitegraphs import dumbbell, gamma1, gamma2, theta, tree3
+from qcgraph.graph import parse_graph
+from suitegraphs import dumbbell, format_graph, gamma1, gamma2, theta, tree3
 
 NAMES = ["a", "b", "c", "e1", "u", "v", "x", "l1", "l2", "w1"]
 name = st.sampled_from(NAMES)

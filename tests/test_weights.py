@@ -30,6 +30,7 @@ from qcgraph.weights import (
     orbits,
 )
 from suitegraphs import (
+    cycle_from_edge_ids,
     dumbbell,
     gamma1,
     gamma2,
@@ -134,7 +135,7 @@ class TestEnumerate:
 class TestAction:
     def test_flip_on_support(self):
         g = theta()
-        lam = g.cycle_from_edge_ids(["e1", "e2"])
+        lam = cycle_from_edge_ids(g, ["e1", "e2"])
         assert act(lam, (0, 0, 0), 2) == (2, 2, 0)
 
     def test_zero_cycle_is_identity(self):
