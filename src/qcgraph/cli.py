@@ -96,7 +96,7 @@ def _dispatch(args, graph, boundary, k, out) -> int:
         return 0
     if cmd == "ext-cocycle":
         t = external.construct_external_cocycle(graph, k, boundary)
-        out.append(t.serialize().rstrip("\n"))
+        out.extend(t.serialize().splitlines())
         for orb in weights.orbits(graph, k, boundary):
             rep = ",".join(str(x) for x in orb.representative)
             for lam in orb.stabilizer:

@@ -118,8 +118,8 @@ class CocycleTable:
         for b in self.basis:
             ids = ",".join(self.graph.support_edge_ids(b))
             for i, w in enumerate(self.weights):
-                lines.append(f"cocycle {ids} {i} {self.table[(b, w)]}")
-        return "\n".join(lines) + "\n"
+                lines.append(f"cocycle {ids} {i} {self.table[(b, w)]}\n")
+        return "".join(lines)
 
 
 def is_twisted_cocycle(t: CocycleTable) -> bool:

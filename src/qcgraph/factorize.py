@@ -10,9 +10,11 @@ second part is fixed.
 The verbs read every restriction from the parent table, in the parent's
 edge coordinates: for a twisted cocycle t, the restriction's value at a
 part-1 weight and cycle is t.value at the glued parent weight and the
-transported cycle.  Part graphs are carved only for the target of
-verify_functoriality, and in restrict_cocycle and decompose_weights, which
-build the restricted objects explicitly as the test oracle.
+transported cycle, and a restricted class is pinned down by its values at
+the fixed pairs of _restricted_pairs.  verify_characterization lifts only
+the external class and ends with an F2 rank per orbit.  Part graphs are
+carved only for the target of verify_functoriality, and in restrict_cocycle
+and decompose_weights, which build the restricted objects as test oracles.
 """
 
 from __future__ import annotations
@@ -20,20 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .circle import MINUS_ONE, CircleValue
-from .cohomology import (
-    CocycleTable,
-    CohomologyInvariant,
-    cocycle_from_characters,
-    is_twisted_cocycle,
-)
+from .circle import CircleValue
+from .cohomology import CocycleTable, is_twisted_cocycle
 from .errors import CapExceeded, NotACocycle, NotGammaN, WeightMismatch
-from .external import construct_external_cocycle, external_characters, external_target
-from .f2 import F2Span
+from .external import construct_external_cocycle, external_target
+from .f2 import f2_rank
 from .graph import CutResult, Graph, cut_edges, isolate_cycle, recognize_gamma_n
-from .weights import WeightVector, act, enumerate_admissible, fixed_edges, instance
+from .weights import Instance, WeightVector, act, enumerate_admissible, fixed_edges, instance
 
 Jpp = tuple[int, ...]  # doubled weights on the cut edges, in cut order
 
@@ -268,38 +265,32 @@ def equivalent_under_factorization(
     return True
 
 
-def _invariant_differs(
-    t: CocycleTable,
-    dec: Decomposition,
-    cycles: list[int],
-    ws: list[WeightVector],
-    target: Callable[[WeightVector, int], CircleValue],
-) -> bool:
-    """Whether the restricted invariant on one context differs from target.
+def _restricted_pairs(
+    dec: Decomposition, cycles: list[int], ws: list[WeightVector], k: int
+) -> Iterator[tuple[WeightVector, WeightVector, int]]:
+    """The fixed pairs that pin down the restricted class on one context.
 
     cycles are the parent cycles inside dec.inside, i.e. the part-1 cycles
-    transported.  Per part-1 orbit, the invariant holds the orbit's least
-    member in part-1 coordinates and the values t.value(W, lam) on its
-    stabilizer.  target(rep1, lam) gives the expected value at that
-    representative and a nonzero stabilizer cycle lam.  Orbits with a
-    trivial stabilizer carry only the value 1 at the zero cycle and always
-    agree.
+    transported.  Yields (rep, rep1, lam) per part-1 orbit in ws and nonzero
+    cycle lam of its stabilizer, where rep is the orbit's least member in
+    part-1 coordinates and rep1 its part-1 weight.  An orbit with a trivial
+    stabilizer carries only the value 1 at the zero cycle.
     """
-    k = t.k
     seen: set[WeightVector] = set()
     for w in ws:
+        if w in seen:
+            continue
+        # flips keep the edges at k/2, so the stabilizer is the orbit's
         fixed = fixed_edges(w, k)
-        if w in seen or not any(lam and not lam & ~fixed for lam in cycles):
-            continue  # the stabilizer is the same all along the orbit
+        stab = [lam for lam in cycles if lam and not lam & ~fixed]
+        if not stab:
+            continue
         members = {act(lam, w, k) for lam in cycles}
         seen |= members
         rep = min(members, key=dec.part1_weight)
         rep1 = dec.part1_weight(rep)
-        fixed = fixed_edges(rep, k)
-        for lam in cycles:
-            if lam and not lam & ~fixed and t.value(rep, lam) != target(rep1, lam):
-                return True
-    return False
+        for lam in stab:
+            yield rep, rep1, lam
 
 
 def verify_functoriality(
@@ -315,14 +306,12 @@ def verify_functoriality(
     for dec in all_decompositions(graph, cap):
         if not dec.coords[0]:
             continue
-
-        def target(rep1, lam, dec=dec):
-            return external_target(dec.part1, k, rep1, dec.part1_cycle(lam))
-
         cycles = [lam for lam in ext.inst.cycles if not lam & ~dec.inside]
         for ws in restriction_plan(dec, ext.weights).values():
-            if _invariant_differs(ext, dec, cycles, ws, target):
-                return False
+            for rep, rep1, lam in _restricted_pairs(dec, cycles, ws, k):
+                target = external_target(dec.part1, k, rep1, dec.part1_cycle(lam))
+                if ext.value(rep, lam) != target:
+                    return False
     return True
 
 
@@ -338,29 +327,35 @@ def gamma_piece_witness(
     they are neither visited nor counted.
     """
     _require_cocycle(t)
-    return _piece_witness(t, cap)
+    for witness, w, lam, target in _piece_comparisons(t.graph, t.inst, cap):
+        if t.value(w, lam) != target:
+            return witness
+    return None
 
 
-def _piece_witness(
-    t: CocycleTable, cap: int
-) -> Optional[tuple[int, Jpp, WeightVector]]:
-    graph = t.graph
+def _piece_comparisons(graph: Graph, inst: Instance, cap: int) -> Iterator[tuple]:
+    """The fixed pairs where restrictions to the isolated Betti-1 pieces
+    meet the pieces' standard class, without reading any table.
+
+    Yields ((cycle, jpp, fixed), w, lam, target) per nonzero cycle, piece
+    around it, restriction context and restricted pair: a table passes when
+    its value at (w, lam) is target.  The contexts are counted against cap.
+    """
     count = 0
-    for lam in t.inst.cycles:
-        if lam == 0:
+    for cycle in inst.cycles:
+        if cycle == 0:
             continue
-        with_cycle, _, res = isolate_cycle(graph, lam)
+        with_cycle, _, res = isolate_cycle(graph, cycle)
         for piece in with_cycle:
             dec = Decomposition(graph, res, frozenset(piece.vertices))
-            cycles = [mu for mu in t.inst.cycles if not mu & ~dec.inside]
+            cycles = [lam for lam in inst.cycles if not lam & ~dec.inside]
             target = _standard_target(piece)
-            for (jpp, fixed), ws in restriction_plan(dec, t.weights).items():
+            for (jpp, fixed), ws in restriction_plan(dec, inst.weights).items():
                 count += 1
                 if count > cap:
                     raise CapExceeded(f"piece enumeration beyond cap {cap}")
-                if _invariant_differs(t, dec, cycles, ws, target):
-                    return lam, jpp, fixed
-    return None
+                for w, rep1, lam in _restricted_pairs(dec, cycles, ws, inst.k):
+                    yield (cycle, jpp, fixed), w, lam, target(rep1)
 
 
 def _standard_target(piece: Graph):
@@ -371,7 +366,7 @@ def _standard_target(piece: Graph):
         raise NotGammaN("isolated piece is not connected with Betti number 1")
     legs = [piece.incident_edges(v)[0] for v in piece.boundary_vertices]
 
-    def target(rep1, lam):
+    def target(rep1):
         return CircleValue.half_integer_exp(sum(rep1[i] for i in legs))
 
     return target
@@ -380,36 +375,20 @@ def _standard_target(piece: Graph):
 def verify_characterization(
     graph: Graph, k: int, boundary: dict[str, int], cap: int = 4096
 ) -> bool:
-    """The external class matches the standard class on every isolated
-    Betti-1 piece, and every invariant that differs from it by one sign on
-    one stabilizer basis element of one orbit fails that test.
+    """The external class is the only class that matches the standard class
+    on every isolated Betti-1 piece.
 
-    Only these single-generator sign mutations are checked, not every
-    class that differs from the external one.
+    Values at fixed pairs depend only on the class, and a class is a sign
+    character on each orbit's stabilizer.  So this holds exactly when the
+    external class passes every piece comparison and, on every orbit, the
+    stabilizer cycles compared at its members span the stabilizer.
     """
-    # both tables are cocycles by construction
-    ext_inv = external_characters(graph, k, boundary)
-    ext = cocycle_from_characters(graph, k, boundary, ext_inv)
-    if _piece_witness(ext, cap) is not None:
-        return False
-    for mutated in _mutated_invariants(ext_inv):
-        t = cocycle_from_characters(graph, k, boundary, mutated)
-        if _piece_witness(t, cap) is None:
+    ext = construct_external_cocycle(graph, k, boundary)  # a cocycle by construction
+    orbits = ext.inst.orbits
+    orbit_of = {w: i for i, orb in enumerate(orbits) for w in orb.members}
+    compared: list[set[int]] = [set() for _ in orbits]
+    for _, w, lam, target in _piece_comparisons(graph, ext.inst, cap):
+        if ext.value(w, lam) != target:
             return False
-    return True
-
-
-def _mutated_invariants(inv: CohomologyInvariant) -> Iterator:
-    """Invariants differing from inv by one sign on one stabilizer basis
-    element of one orbit."""
-    d = inv.as_dict()
-    for rep, chars in d.items():
-        basis = F2Span(sorted(lam for lam in chars if lam)).basis()
-        span = F2Span(basis)  # bit i of a combo stands for basis[i]
-        combos = {lam: span.solve(lam) for lam in chars}
-        for i in range(len(basis)):
-            mutated = dict(chars)
-            for lam, combo in combos.items():
-                if combo is not None and combo >> i & 1:
-                    mutated[lam] = chars[lam] * MINUS_ONE
-            yield CohomologyInvariant.from_dict({**d, rep: mutated})
+        compared[orbit_of[w]].add(lam)
+    return all(f2_rank(c) == orb.stabilizer_dim for c, orb in zip(compared, orbits))

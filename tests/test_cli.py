@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from qcgraph.cli import run
-from suitegraphs import dumbbell, format_graph, gamma1, theta
+from suitegraphs import dumbbell, format_graph, gamma1, theta, tree3
 
 THETA_ENUMERATE = """\
 0\t0\t0
@@ -153,6 +153,16 @@ class TestGolden:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == EXT_COCYCLE_DUMBBELL_4
+
+    def test_ext_cocycle_without_cycles_is_empty(self, graph_file, capsys, tmp_path):
+        # no cycle means an empty table and no stabilizer to report
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        for path in (graph_file(tree3()), str(empty)):
+            code, out, err = run_capture(
+                ["ext-cocycle", "--graph", path, "--level", "2"], capsys
+            )
+            assert (code, out, err) == (0, "", "")
 
     def test_rep_dumbbell(self, graph_file, capsys):
         path = graph_file(dumbbell())

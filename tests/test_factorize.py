@@ -5,18 +5,26 @@ import random
 
 import pytest
 
+from qcgraph import factorize
 from qcgraph.circle import MINUS_ONE, ONE
 from qcgraph.cohomology import (
     CocycleTable,
+    CohomologyInvariant,
     cobounding_chain,
     coboundary_of,
+    cocycle_from_characters,
     cohomology_invariant,
     enumerate_sign_cocycles,
     is_coboundary,
     is_twisted_cocycle,
 )
 from qcgraph.errors import CapExceeded, NotACocycle, WeightMismatch
-from qcgraph.external import construct_external_cocycle, standard_gamma_n_cocycle
+from qcgraph.external import (
+    construct_external_cocycle,
+    external_characters,
+    standard_gamma_n_cocycle,
+)
+from qcgraph.f2 import F2Span
 from qcgraph.factorize import (
     Decomposition,
     all_decompositions,
@@ -32,7 +40,7 @@ from qcgraph.factorize import (
 )
 from qcgraph.graph import Graph, isolate_cycle
 from qcgraph.represent import character, reps_isomorphic
-from qcgraph.weights import act, enumerate_admissible
+from qcgraph.weights import act, enumerate_admissible, instance
 from suitegraphs import (
     SUITE,
     dumbbell,
@@ -40,6 +48,7 @@ from suitegraphs import (
     gamma2,
     gamma3,
     genus3_handle,
+    suite_instances,
     theta,
     zero_boundary,
 )
@@ -244,6 +253,75 @@ class TestCharacterization:
     def test_full_characterization(self, make, k):
         g = make()
         assert verify_characterization(g, k, zero_boundary(g))
+
+    def test_external_mismatch_fails(self, monkeypatch):
+        standard = factorize._standard_target
+
+        def negated(piece):
+            target = standard(piece)
+            return lambda *args: target(*args) * MINUS_ONE
+
+        monkeypatch.setattr(factorize, "_standard_target", negated)
+        g = dumbbell()
+        assert not verify_characterization(g, 4, {})
+
+    def test_unspanned_stabilizer_fails(self, monkeypatch):
+        # dropping the comparisons at one orbit leaves a second class that
+        # passes them all
+        g = dumbbell()
+        orb = next(o for o in instance(g, 4, {}).orbits if o.stabilizer_dim)
+        comparisons = factorize._piece_comparisons
+
+        def without_orbit(*args):
+            for pair in comparisons(*args):
+                if pair[1] not in orb.members:
+                    yield pair
+
+        assert verify_characterization(g, 4, {})
+        monkeypatch.setattr(factorize, "_piece_comparisons", without_orbit)
+        assert not verify_characterization(g, 4, {})
+
+
+def every_class(g, k, b):
+    """Every class of the instance as a lifted table, the external class
+    first: class c flips the external character on the stabilizer_basis
+    elements picked by its bits, orbit after orbit."""
+    orbits = instance(g, k, b).orbits
+    ext = external_characters(g, k, b).as_dict()
+    dim = sum(orb.stabilizer_dim for orb in orbits)
+    for c in range(1 << dim):
+        chars, bits = {}, c
+        for orb in orbits:
+            span = F2Span(orb.stabilizer_basis)  # bit i stands for basis[i]
+            flips = bits & ((1 << orb.stabilizer_dim) - 1)
+            bits >>= orb.stabilizer_dim
+            chars[orb.representative] = {
+                lam: v * MINUS_ONE if bin(span.solve(lam) & flips).count("1") % 2 else v
+                for lam, v in ext[orb.representative].items()
+            }
+        yield cocycle_from_characters(g, k, b, CohomologyInvariant.from_dict(chars))
+
+
+ORACLE_INSTANCES = [
+    (name, k)
+    for name, g, k, b in suite_instances()
+    if sum(orb.stabilizer_dim for orb in instance(g, k, b).orbits) <= 8
+]
+
+
+@pytest.mark.parametrize("name,k", ORACLE_INSTANCES)
+def test_only_external_class_passes(name, k):
+    # the brute-force oracle of the rank test: of all 2^D classes, exactly
+    # the external one matches the standard class on every piece
+    g = SUITE[name]()
+    b = zero_boundary(g)
+    passing = [
+        i
+        for i, t in enumerate(every_class(g, k, b))
+        if gamma_piece_witness(t, cap=200_000) is None
+    ]
+    assert passing == [0]
+    assert verify_characterization(g, k, b, cap=200_000)
 
 
 # -- the restriction plan against the per-j'' oracle -------------------------
