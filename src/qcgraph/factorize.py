@@ -1,19 +1,19 @@
 """Cutting graphs, restricting cocycles along the cut, equivalence under
 factorization, functoriality, and the characterization of external classes.
 
-A decomposition cuts a set of internal edges and groups the resulting
-components into two parts.  Admissible weights decompose as a disjoint
-union over the cut-edge weights j'' of products of the parts' weight sets,
-and cocycles restrict to the first part once a complementary weight on the
-second part is fixed.
+A decomposition cuts a set of internal edges and groups the parent's
+components, once those edges are ignored, into two parts.  Admissible
+weights decompose as a disjoint union over the cut-edge weights j'' of
+products of the parts' weight sets, and cocycles restrict to the first
+part once a complementary weight on the second part is fixed.
 
 The verbs read every restriction from the parent table, in the parent's
 edge coordinates: for a twisted cocycle t, the restriction's value at a
 part-1 weight and cycle is t.value at the glued parent weight and the
 transported cycle, and a restricted class is pinned down by its values at
 the fixed pairs of _restricted_pairs.  verify_characterization lifts only
-the external class and ends with an F2 rank per orbit.  Part graphs are
-carved only for the target of verify_functoriality, and in restrict_cocycle
+the external class and ends with an F2 rank per orbit.  A cut graph is
+built only for the target of verify_functoriality and in restrict_cocycle
 and decompose_weights, which build the restricted objects as test oracles.
 """
 
@@ -29,7 +29,7 @@ from .cohomology import CocycleTable, is_twisted_cocycle
 from .errors import CapExceeded, NotACocycle, NotGammaN, WeightMismatch
 from .external import construct_external_cocycle, external_target
 from .f2 import f2_rank
-from .graph import CutResult, Graph, cut_edges, isolate_cycle, recognize_gamma_n
+from .graph import CutResult, Graph, cut_edges
 from .weights import Instance, WeightVector, act, enumerate_admissible, fixed_edges, instance
 
 Jpp = tuple[int, ...]  # doubled weights on the cut edges, in cut order
@@ -40,15 +40,15 @@ class Decomposition:
     """A cut of the graph with its components grouped into two parts, read
     in the parent's edge coordinates.
 
-    side1 holds the cut graph's part-1 vertices, a union of components.
+    cut holds the cut edge ids in canonical order and side1 the part-1
+    vertices, a union of the parent's components without the cut edges.
     coords holds, per part, the parent edge index of each of its edges in
-    cut-graph order; a leg reads its cut edge.  inside masks the parent
-    edges of part 1's uncut edges.  The part graphs part1 and part2 are
-    carved on first use.
+    cut-graph order; a cut edge gives a leg to each endpoint's part.  inside
+    masks part 1's uncut edges.  The cut graph and parts are built on use.
     """
 
     graph: Graph
-    cut_result: CutResult
+    cut: tuple[str, ...]
     side1: frozenset[str]
     coords: tuple[tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False
@@ -56,21 +56,21 @@ class Decomposition:
     inside: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index, origin = self.graph.edge_index, self.cut_result.origin
+        cut = {self.graph.edge_index(f) for f in self.cut}
         coords: tuple[list[int], list[int]] = ([], [])
         inside = 0
-        for eid, a, _ in self.cut_result.graph.edges:
-            cut = origin(eid)
-            j = index(eid if cut is None else cut)
+        for j, (_, a, b) in enumerate(self.graph.edges):
             coords[a not in self.side1].append(j)
-            if a in self.side1 and cut is None:
+            if j in cut:
+                coords[b not in self.side1].append(j)
+            elif a in self.side1:
                 inside |= 1 << j
         object.__setattr__(self, "coords", (tuple(coords[0]), tuple(coords[1])))
         object.__setattr__(self, "inside", inside)
 
-    @property
-    def cut(self) -> tuple[str, ...]:
-        return self.cut_result.cut
+    @cached_property
+    def cut_result(self) -> CutResult:
+        return cut_edges(self.graph, self.cut, allow_leaf=True)
 
     @cached_property
     def part1(self) -> Graph:
@@ -78,8 +78,7 @@ class Decomposition:
 
     @cached_property
     def part2(self) -> Graph:
-        cut_graph = self.cut_result.graph
-        return cut_graph.subgraph(set(cut_graph.vertices) - self.side1)
+        return self.cut_result.graph.subgraph(set(self.graph.vertices) - self.side1)
 
     def part_boundary(
         self, part: Graph, boundary: dict[str, int], jpp: Jpp
@@ -134,10 +133,11 @@ def make_decomposition(
     graph: Graph, cut: set[str] | list[str], side1: set[int]
 ) -> Decomposition:
     """Cut the given edges and put the components with indices in side1
-    (by the cut graph's component order) into part 1."""
-    res = cut_edges(graph, cut)
-    parts = [c for i, c in enumerate(res.graph.components()) if i in side1]
-    return Decomposition(graph, res, frozenset().union(*parts))
+    (by the order of Graph.components) into part 1."""
+    ordered = cut_edges(graph, cut).cut  # refuses unknown and leaf edges
+    comps = graph.components(sum(1 << graph.edge_index(f) for f in ordered))
+    parts = [c for i, c in enumerate(comps) if i in side1]
+    return Decomposition(graph, ordered, frozenset().union(*parts))
 
 
 def all_decompositions(
@@ -148,15 +148,14 @@ def all_decompositions(
     total = 0
     for r in range(len(cuttable) + 1):
         for cut in combinations(cuttable, r):
-            res = cut_edges(graph, cut)
-            comps = res.graph.components()
+            comps = graph.components(sum(1 << graph.edge_index(f) for f in cut))
             ncomp = len(comps)
             total += 1 << ncomp
             if total > cap:
                 raise CapExceeded(f"decomposition enumeration beyond cap {cap}")
             for side_bits in range(1 << ncomp):
                 parts = [c for i, c in enumerate(comps) if side_bits >> i & 1]
-                yield Decomposition(graph, res, frozenset().union(*parts))
+                yield Decomposition(graph, cut, frozenset().union(*parts))
 
 
 def jpp_values(k: int, dec: Decomposition) -> Iterator[Jpp]:
@@ -345,11 +344,14 @@ def _piece_comparisons(graph: Graph, inst: Instance, cap: int) -> Iterator[tuple
     for cycle in inst.cycles:
         if cycle == 0:
             continue
-        with_cycle, _, res = isolate_cycle(graph, cycle)
-        for piece in with_cycle:
-            dec = Decomposition(graph, res, frozenset(piece.vertices))
+        external, internal = graph.cycle_edges(cycle)
+        cut = tuple(graph.support_edge_ids(external | internal))
+        for side in graph.components(external | internal):
+            dec = Decomposition(graph, cut, frozenset(side))
+            if not dec.inside & cycle:
+                continue  # a component away from the cycle
             cycles = [lam for lam in inst.cycles if not lam & ~dec.inside]
-            target = _standard_target(piece)
+            target = _standard_target(dec)
             for (jpp, fixed), ws in restriction_plan(dec, inst.weights).items():
                 count += 1
                 if count > cap:
@@ -358,13 +360,15 @@ def _piece_comparisons(graph: Graph, inst: Instance, cap: int) -> Iterator[tuple
                     yield (cycle, jpp, fixed), w, lam, target(rep1)
 
 
-def _standard_target(piece: Graph):
+def _standard_target(piece: Decomposition):
     """The standard circuit cocycle's value on the generator at its fixed
     weight: exp(pi*i * sum of the piece's boundary weights), read off the
-    piece's legs."""
-    if recognize_gamma_n(piece) is None:
+    piece's legs: the part-1 positions of cut edges."""
+    # part 1 is connected, so it has Betti number 1 exactly when it has as
+    # many uncut edges as vertices (each leg adds one edge and one vertex)
+    if piece.inside.bit_count() != len(piece.side1):
         raise NotGammaN("isolated piece is not connected with Betti number 1")
-    legs = [piece.incident_edges(v)[0] for v in piece.boundary_vertices]
+    legs = [i for i, j in enumerate(piece.coords[0]) if not piece.inside >> j & 1]
 
     def target(rep1):
         return CircleValue.half_integer_exp(sum(rep1[i] for i in legs))

@@ -100,12 +100,14 @@ class Graph:
 
     # -- components and genus --------------------------------------------
 
-    def components(self) -> list[set[str]]:
-        """Connected components as vertex sets (isolated vertices included)."""
+    def components(self, drop: int = 0) -> list[set[str]]:
+        """Connected components as vertex sets (isolated vertices included),
+        ignoring the edges in the mask drop, in order of first vertex."""
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for _, a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        for i, (_, a, b) in enumerate(self.edges):
+            if not drop >> i & 1:
+                adj[a].add(b)
+                adj[b].add(a)
         comps: list[set[str]] = []
         seen: set[str] = set()
         for v in self.vertices:
@@ -133,10 +135,11 @@ class Graph:
 
     def subgraph(self, vertices: set[str]) -> Graph:
         """The edges with an endpoint in vertices and the boundary vertices
-        among them, in this graph's order; a union of components carves
+        that end them, in this graph's order; a union of components carves
         out exactly those components."""
         edges = tuple(e for e in self.edges if e[1] in vertices or e[2] in vertices)
-        bdry = tuple(v for v in self.boundary_vertices if v in vertices)
+        ends = {v for _, a, b in edges for v in (a, b)}
+        bdry = tuple(v for v in self.boundary_vertices if v in ends)
         return Graph(edges, bdry)
 
     # -- cycle space -----------------------------------------------------
@@ -145,58 +148,27 @@ class Graph:
         """Fundamental cycles of the spanning forest grown in ascending
         canonical edge order, as bitmasks."""
         if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(self._fundamental_cycles()))
+            # path[v] masks the forest path from v to its tree's root, and
+            # tree[v] is the member list of v's tree, shared by its members
+            path = {v: 0 for v in self.vertices}
+            tree = {v: [v] for v in self.vertices}
+            basis = []
+            for i, (_, a, b) in enumerate(self.edges):
+                if tree[a] is tree[b]:
+                    basis.append(1 << i | path[a] ^ path[b])
+                    continue
+                if len(tree[a]) > len(tree[b]):
+                    a, b = b, a
+                # hang a's tree below b through edge i: the new root path
+                # of each member leaves through a, crosses i and follows b's
+                delta = 1 << i | path[a] ^ path[b]
+                members = tree[a]
+                for v in members:
+                    path[v] ^= delta
+                    tree[v] = tree[b]
+                tree[b] += members
+            object.__setattr__(self, "_basis", tuple(basis))
         return list(self._basis)
-
-    def _fundamental_cycles(self) -> list[int]:
-        parent: dict[str, Optional[tuple[str, int]]] = {}
-
-        def root(v: str) -> str:
-            while parent.get(v) is not None:
-                v = parent[v][0]  # type: ignore[index]
-            return v
-
-        for v in self.vertices:
-            parent[v] = None
-        basis: list[int] = []
-        for i, (_, a, b) in enumerate(self.edges):
-            ra, rb = root(a), root(b)
-            if ra != rb:
-                # attach ra's tree below b's side
-                self._reroot(parent, a)
-                parent[a] = (b, i)
-            else:
-                basis.append(self._fundamental_cycle(parent, i))
-        return basis
-
-    def _reroot(self, parent, v: str) -> None:
-        chain = []
-        u = v
-        while parent[u] is not None:
-            chain.append((u, parent[u]))
-            u = parent[u][0]
-        for u, (p, i) in reversed(chain):
-            parent[p] = (u, i)
-            parent[u] = None
-
-    def _fundamental_cycle(self, parent, i: int) -> int:
-        _, a, b = self.edges[i]
-        if a == b:
-            return 1 << i
-        path_a = self._tree_path(parent, a)
-        path_b = self._tree_path(parent, b)
-        mask = 1 << i
-        for j in path_a.symmetric_difference(path_b):
-            mask |= 1 << j
-        return mask
-
-    def _tree_path(self, parent, v: str) -> set[int]:
-        out: set[int] = set()
-        while parent[v] is not None:
-            p, i = parent[v]
-            out.add(i)
-            v = p
-        return out
 
     def all_cycles(self) -> list[int]:
         """All 2^g elements of H1, sorted ascending as bitmasks."""
@@ -328,14 +300,6 @@ class CutResult:
     graph: Graph  # the whole cut graph (possibly disconnected)
     cut: tuple[str, ...]  # cut edge ids in canonical order
     pairing: dict[str, tuple[str, str]]  # origin edge -> (new vertex, new vertex)
-
-    def origin(self, eid: str) -> Optional[str]:
-        """The cut edge that the leg eid (f:1 or f:2) came from; None for
-        an edge that is not a leg of this cut."""
-        base, _, suffix = eid.rpartition(":")
-        if suffix in ("1", "2") and base in self.pairing:
-            return base
-        return None
 
     def component_subgraphs(self) -> list[Graph]:
         return [self.graph.subgraph(comp) for comp in self.graph.components()]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from qcgraph.graph import CutResult, Edge, Graph, validate_graph
 
@@ -165,6 +165,15 @@ def format_graph(g: Graph, boundary_weights: dict[str, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def leg_origin(cut_result: CutResult, eid: str) -> Optional[str]:
+    """The cut edge that the leg eid (f:1 or f:2) came from; None for an
+    edge that is not a leg of this cut."""
+    base, _, suffix = eid.rpartition(":")
+    if suffix in ("1", "2") and base in cut_result.pairing:
+        return base
+    return None
+
+
 def glue(cut_result: CutResult) -> Graph:
     """Reglue a cut graph along its pairing, restoring the original edges."""
     g = cut_result.graph
@@ -172,7 +181,7 @@ def glue(cut_result: CutResult) -> Graph:
     restored: dict[str, list[str]] = {}
     drop_boundary = set()
     for eid, a, b in g.edges:
-        base = cut_result.origin(eid)
+        base = leg_origin(cut_result, eid)
         if base is not None:
             # the non-fresh endpoint of each half is the original endpoint
             w1, w2 = cut_result.pairing[base]

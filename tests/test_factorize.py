@@ -18,7 +18,7 @@ from qcgraph.cohomology import (
     is_coboundary,
     is_twisted_cocycle,
 )
-from qcgraph.errors import CapExceeded, NotACocycle, WeightMismatch
+from qcgraph.errors import CapExceeded, NotACocycle, NotGammaN, WeightMismatch
 from qcgraph.external import (
     construct_external_cocycle,
     external_characters,
@@ -48,6 +48,7 @@ from suitegraphs import (
     gamma2,
     gamma3,
     genus3_handle,
+    leg_origin,
     suite_instances,
     theta,
     zero_boundary,
@@ -102,7 +103,7 @@ def leg_coordinates(dec, part):
     cut edge it came from."""
     out = []
     for eid in part.edge_ids:
-        origin = dec.cut_result.origin(eid)
+        origin = leg_origin(dec.cut_result, eid)
         out.append(dec.graph.edge_index(eid if origin is None else origin))
     return tuple(out)
 
@@ -116,7 +117,8 @@ def coordinate_cases(g):
         if lam:
             with_cycle, _, res = isolate_cycle(g, lam)
             for piece in with_cycle:
-                dec = Decomposition(g, res, frozenset(piece.vertices))
+                side1 = frozenset(piece.vertices) & set(g.vertices)
+                dec = Decomposition(g, res.cut, side1)
                 assert dec.part1 == piece
                 yield dec
 
@@ -137,7 +139,7 @@ class TestDecompositionCoordinates:
             )
             inside = 0
             for eid in part1.edge_ids:
-                if dec.cut_result.origin(eid) is None:
+                if leg_origin(dec.cut_result, eid) is None:
                     inside |= 1 << g.edge_index(eid)
             assert dec.inside == inside
             for mu in part1.all_cycles():
@@ -209,7 +211,7 @@ class TestEquivalence:
             equivalent_under_factorization(t, t, cap=2)
 
     def test_carves_no_part_graph(self, monkeypatch):
-        # the verb reads every decomposition in the parent's coordinates
+        # the verbs read every decomposition and piece off the parent graph
         same = theta()
         t = construct_external_cocycle(same, 2, {})
         c = {w: MINUS_ONE if sum(w) % 4 else ONE
@@ -219,12 +221,18 @@ class TestEquivalence:
         ext = construct_external_cocycle(g, 4, {})
         trivial = CocycleTable.trivial(g, 4, {})
 
-        def refuse(self, vertices):
-            raise AssertionError("a part graph was carved")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cut or part graph was built")
 
         monkeypatch.setattr(Graph, "subgraph", refuse)
+        monkeypatch.setattr(factorize, "cut_edges", refuse)
         assert equivalent_under_factorization(t, t_cob)
         assert not equivalent_under_factorization(ext, trivial)
+        assert gamma_piece_witness(ext) is None
+        assert gamma_piece_witness(trivial) is not None
+        for make, k in [(theta, 2), (dumbbell, 4), (gamma2, 2)]:
+            graph = make()
+            assert verify_characterization(graph, k, zero_boundary(graph))
 
 
 class TestFunctoriality:
@@ -264,6 +272,13 @@ class TestCharacterization:
         monkeypatch.setattr(factorize, "_standard_target", negated)
         g = dumbbell()
         assert not verify_characterization(g, 4, {})
+
+    def test_piece_without_betti_number_one_rejected(self):
+        # the figure eight around both loops isolates a piece of Betti
+        # number 2
+        g = Graph((("a", "u", "u"), ("b", "u", "u")), ())
+        with pytest.raises(NotGammaN):
+            list(factorize._piece_comparisons(g, instance(g, 2, {}), 4096))
 
     def test_unspanned_stabilizer_fails(self, monkeypatch):
         # dropping the comparisons at one orbit leaves a second class that
@@ -370,7 +385,8 @@ def oracle_witness(t):
             continue
         with_cycle, _, res = isolate_cycle(graph, lam)
         for piece in with_cycle:
-            dec = Decomposition(graph, res, frozenset(piece.vertices))
+            side1 = frozenset(piece.vertices) & set(graph.vertices)
+            dec = Decomposition(graph, res.cut, side1)
             for jpp, fixed in oracle_contexts(t, dec):
                 b1 = dec.part_boundary(piece, t.boundary, jpp)
                 restricted = restrict_cocycle(t, dec, jpp, fixed)

@@ -22,6 +22,7 @@ from qcgraph.graph import (
     validate_graph,
 )
 from suitegraphs import (
+    SUITE,
     canonical_form,
     cycle_from_edge_ids,
     dumbbell,
@@ -104,6 +105,35 @@ class TestCycleSpace:
     def test_deterministic(self):
         g = theta()
         assert g.cycle_basis() == g.cycle_basis()
+
+    def test_basis_is_fundamental_cycles_of_edge_order_forest(self):
+        graphs = [make() for make in SUITE.values()]
+        rng = random.Random(7)
+        for _ in range(200):
+            genus, legs = rng.randint(1, 5), rng.randint(0, 3)
+            seeded = random.Random(rng.getrandbits(32))
+            graphs.append(random_unitrivalent(genus, legs, seeded))
+        for g in graphs:
+            assert g.cycle_basis() == forest_fundamental_cycles(g)
+
+
+def forest_fundamental_cycles(g):
+    """The networkx oracle of the cycle basis: grow the forest in edge
+    order; an edge whose ends it already joins closes the cycle of its own
+    bit and the forest path between its ends."""
+    forest = nx.Graph()
+    forest.add_nodes_from(g.vertices)
+    basis = []
+    for i, (_, a, b) in enumerate(g.edges):
+        if nx.has_path(forest, a, b):
+            path = nx.shortest_path(forest, a, b)
+            mask = 1 << i
+            for u, v in zip(path, path[1:]):
+                mask |= 1 << forest.edges[u, v]["index"]
+            basis.append(mask)
+        else:
+            forest.add_edge(a, b, index=i)
+    return basis
 
 
 class TestClassify:
@@ -252,6 +282,16 @@ class TestStructureAgainstNetworkx:
         assert sorted(map(sorted, g.components())) == sorted(
             map(sorted, nx.connected_components(G))
         )
+        rng = random.Random(seed)
+        for _ in range(4):
+            drop = rng.getrandbits(g.n_edges)
+            H = G.copy()
+            H.remove_edges_from(
+                (a, b, eid) for i, (eid, a, b) in enumerate(g.edges) if drop >> i & 1
+            )
+            assert sorted(map(sorted, g.components(drop))) == sorted(
+                map(sorted, nx.connected_components(H))
+            )
         rank = (
             G.number_of_edges()
             - G.number_of_nodes()
